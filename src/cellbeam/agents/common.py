@@ -95,7 +95,6 @@ class AgentHyperparams:
     pc_limit_db: float = 40.0
     ic_limit_db: float = 40.0
     bf_limit_multiplier: float = 1.0
-    optimizer: str = "adam"
     total_episodes: int = 300
     train_geometry_cycle: int = 0     # >0 cycles training over that many UE drops
     position_bins: int = 8

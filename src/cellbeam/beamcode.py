@@ -47,9 +47,6 @@ class Codebook:
     def size(self) -> int:
         return self.vectors.shape[0]
 
-    def __getitem__(self, n: int) -> np.ndarray:
-        return self.vectors[n]
-
 
 def build_codebook(m_antennas: int, spacing_in_wavelengths: float = 0.5) -> Codebook:
     """Codebook with steering angles theta_n = pi n / M, n = 0..M-1."""

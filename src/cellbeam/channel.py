@@ -11,7 +11,7 @@ exact same trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -193,15 +193,17 @@ def step_mobility(topology: Topology, scenario: Scenario, rng: np.random.Generat
     step_len = scenario.ue_speed_mps * scenario.frame_duration_s
     turns = rng.uniform(-MAX_TURN_RAD, MAX_TURN_RAD, topology.num_ues)
     headings = np.mod(topology.ue_headings + turns, 2.0 * math.pi)
-    pos = topology.ue_positions + step_len * np.stack(
-        [np.cos(headings), np.sin(headings)], axis=1)
+    direction = np.empty((topology.num_ues, 2))
+    direction[:, 0] = np.cos(headings)
+    direction[:, 1] = np.sin(headings)
+    pos = topology.ue_positions + step_len * direction
 
     disc_radius = scenario.cell_radius_m / 2.0
     centers = topology.bs_positions[topology.serving_map]
     rel = pos - centers
-    dist = np.linalg.norm(rel, axis=1)
+    dist = np.sqrt((rel * rel).sum(axis=1))
     outside = dist > disc_radius
-    if np.any(outside):
+    if outside.any():
         unit = rel[outside] / dist[outside, None]
         folded = np.clip(2.0 * disc_radius - dist[outside], 0.0, disc_radius)
         pos[outside] = centers[outside] + unit * folded[:, None]
@@ -210,7 +212,9 @@ def step_mobility(topology: Topology, scenario: Scenario, rng: np.random.Generat
         vel -= 2.0 * np.sum(vel * unit, axis=1, keepdims=True) * unit
         headings[outside] = np.mod(np.arctan2(vel[:, 1], vel[:, 0]), 2.0 * math.pi)
 
-    return replace(topology, ue_positions=pos, ue_headings=headings)
+    return Topology(bs_positions=topology.bs_positions, ue_positions=pos,
+                    serving_map=topology.serving_map, ue_headings=headings,
+                    num_bs=topology.num_bs, ues_per_bs=topology.ues_per_bs)
 
 
 def pathloss_db(distance_m, carrier_freq_hz: float, p_los: float = 1.0) -> np.ndarray:
@@ -250,6 +254,9 @@ class ChannelState:
     `vectors` holds the composite channel h for each link, (L, U, M)
     complex.  Path angles and the LOS flag are drawn once per episode;
     the complex path gains evolve as an AR(1) process between frames.
+    Because the angles stay fixed, the steering vectors built from them
+    are kept in `steering` for the (M, spacing) pair in `steering_key`
+    and rebuilt only when a call asks for another pair.
     """
 
     rng: np.random.Generator
@@ -259,6 +266,8 @@ class ChannelState:
     path_gains: np.ndarray | None = None    # (L, U, P) complex
     los: np.ndarray | None = None           # (L, U) bool
     rho: float = field(default=0.0)
+    steering: np.ndarray | None = field(default=None, repr=False)  # (L, U, P, M) complex
+    steering_key: tuple | None = None       # (M, spacing) that `steering` was built for
 
 
 def new_channel_state(seed) -> ChannelState:
@@ -289,6 +298,7 @@ def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int,
 
     if state.path_gains is None:
         state.path_angles = rng.uniform(0.0, math.pi, (num_bs, num_ues, n_paths))
+        state.steering_key = None
         state.los = rng.random((num_bs, num_ues)) < scenario.p_los
         state.path_gains = _complex_normal(rng, (num_bs, num_ues, n_paths))
         state.path_gains[state.los, 0] = 1.0 + 0.0j
@@ -299,15 +309,18 @@ def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int,
         state.path_gains = rho * state.path_gains + math.sqrt(1.0 - rho * rho) * innovation
         state.path_gains[state.los, 0] = 1.0 + 0.0j
 
-    steer = steering_matrix(state.path_angles, m_antennas, spacing_in_wavelengths)
-    dists = np.linalg.norm(
-        topology.bs_positions[:, None, :] - topology.ue_positions[None, :, :], axis=2)
+    key = (m_antennas, spacing_in_wavelengths)
+    if state.steering_key != key:
+        state.steering = steering_matrix(state.path_angles, m_antennas, spacing_in_wavelengths)
+        state.steering_key = key
+    offsets = topology.bs_positions[:, None, :] - topology.ue_positions[None, :, :]
+    dists = np.sqrt((offsets * offsets).sum(axis=2))
     pl_lin = db_to_linear(-pathloss_db(dists, scenario.carrier_freq_hz, scenario.p_los))
     gain_lin = db_to_linear(scenario.tx_antenna_gain_dbi)
     amplitude = np.sqrt(pl_lin * gain_lin / n_paths)
 
     state.vectors = amplitude[..., None] * np.einsum(
-        "lupm,lup->lum", steer, state.path_gains)
+        "lupm,lup->lum", state.steering, state.path_gains)
     state.time_step += 1
     return state
 
@@ -322,9 +335,9 @@ def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarr
     powers_w = np.asarray(powers_w, dtype=float)
     if powers_w.shape != (topology.num_bs,):
         raise ContractViolation("one transmit power per base station is required")
-    if np.any(powers_w < 0.0):
+    if (powers_w < 0.0).any():
         raise ContractViolation("transmit powers must be non-negative")
-    if np.any(powers_w > scenario.max_bs_power_w * (1.0 + 1e-12)):
+    if (powers_w > scenario.max_bs_power_w * (1.0 + 1e-12)).any():
         raise ContractViolation("transmit powers must not exceed max_bs_power_w")
     if state.vectors is None:
         raise ContractViolation("draw_channels must run before compute_sinr")

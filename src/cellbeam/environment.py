@@ -171,7 +171,7 @@ class DownlinkEnv:
         a = np.asarray(action, dtype=float)
         if a.shape != (ACTION_SIZE,):
             raise ContractViolation(f"action must have {ACTION_SIZE} entries")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ContractViolation("action entries must be finite")
         powers = np.clip(a[:2], self.power_floor_dbm, self.scenario.max_bs_power_dbm)
         beams = np.array([beam_from_continuous(a[2], self.codebook.size),
@@ -199,7 +199,7 @@ class DownlinkEnv:
         reward = float(eff_db.sum())
 
         self._t += 1
-        aborted = bool(np.any(raw_db < self.policy.gamma_cutoff_db))
+        aborted = bool((raw_db < self.policy.gamma_cutoff_db).any())
         truncated = not aborted and self._t >= self.horizon
         self._done = aborted or truncated
         info = {

@@ -152,7 +152,6 @@ CONFIG_SCHEMA = {
     "pc_limit_db": ("hyper", "pc_limit_db", float),
     "ic_limit_db": ("hyper", "ic_limit_db", float),
     "bf_limit_multiplier": ("hyper", "bf_limit_multiplier", float),
-    "optimizer": ("hyper", "optimizer", str),
     "train_geometry_cycle": ("hyper", "train_geometry_cycle", int),
     "position_bins": ("hyper", "position_bins", int),
     "power_levels": ("hyper", "power_levels", int),
@@ -178,18 +177,22 @@ def _read_config_lines(path) -> dict:
     return values
 
 
-def parse_config(path=None) -> RunConfig:
+def parse_config(path=None, cli_values=None) -> RunConfig:
     """Load a key=value config file into a full RunConfig.
 
     Absent keys keep their defaults.  Environment variables named
-    CELLBEAM_<KEY> override file values.  Scenario keys override the
-    chosen preset field by field.
+    CELLBEAM_<KEY> override file values, and ``cli_values`` (config key ->
+    text, from command-line options) override both.  Scenario keys
+    override the chosen preset field by field, whichever source names
+    the preset.
     """
     values = _read_config_lines(path) if path is not None else {}
     for key in CONFIG_SCHEMA:
         env_name = ENV_VAR_PREFIX + key.upper()
         if env_name in os.environ:
             values[key] = (os.environ[env_name], f"environment variable {env_name}")
+    for key, text in (cli_values or {}).items():
+        values[key] = (text, f"command-line option --{key}")
 
     sections = {"plan": {}, "scenario": {}, "hyper": {}, "env": {}}
     for key, (text, where) in values.items():
@@ -389,31 +392,15 @@ def main(argv=None) -> int:
     parser.add_argument("--episodes", type=int, help="training episodes per cell")
     parser.add_argument("--scenario", help="scenario preset name")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), dest="out_format",
+    parser.add_argument("--format", choices=("csv", "json"),
                         help="pooled metrics file format")
     args = parser.parse_args(argv)
 
+    # every option but --config is named after the config key it sets
+    cli_values = {key: str(value) for key, value in vars(args).items()
+                  if key != "config" and value not in (None, "")}
     try:
-        cfg = parse_config(args.config)
-        plan_updates = {}
-        if args.algo:
-            plan_updates["algorithms"] = tuple(a.strip() for a in args.algo.split(","))
-        if args.antennas:
-            plan_updates["antenna_counts"] = tuple(int(m) for m in args.antennas.split(","))
-        if args.seeds:
-            plan_updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-        if args.episodes is not None:
-            plan_updates["episodes"] = args.episodes
-        if args.scenario:
-            plan_updates["scenario"] = args.scenario
-            cfg = replace(cfg, scenario=preset(args.scenario))
-        if args.out:
-            plan_updates["output_dir"] = args.out
-        if args.out_format:
-            plan_updates["out_format"] = args.out_format
-        if plan_updates:
-            cfg = replace(cfg, plan=replace(cfg.plan, **plan_updates))
-        cfg.plan.validate()
+        cfg = parse_config(args.config, cli_values)
         summaries = run_plan(cfg)
     except CellbeamError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,11 +24,6 @@ class GradientSet:
     biases: list
     wrt_input: np.ndarray
 
-    def scaled(self, factor: float) -> "GradientSet":
-        return GradientSet(weights=[factor * w for w in self.weights],
-                           biases=[factor * b for b in self.biases],
-                           wrt_input=factor * self.wrt_input)
-
 
 class Mlp:
     """Fully connected tanh network.
@@ -73,10 +68,6 @@ class Mlp:
     @property
     def bounded(self) -> bool:
         return self.output_low is not None
-
-    @property
-    def n_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def forward(self, x) -> np.ndarray:
         """Evaluate the network, caching activations for backward()."""

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellbeam import channel as chan
-from cellbeam.beamcode import build_codebook
+from cellbeam.beamcode import build_codebook, steering_matrix
 from cellbeam.errors import ConfigurationError, ContractViolation
+from cellbeam.harness import VALID_ANTENNA_COUNTS
 
 
 def test_presets_match_expected_pairs():
@@ -266,3 +270,102 @@ def test_sinr_monotonicity_in_powers():
         more = chan.compute_sinr(state, topo, beams, served_up, sc)
         assert more[0] >= base[0] - 1e-15  # UE 0: serving power up
         assert more[1] <= base[1] + 1e-15  # UE 1: interference up
+
+
+# -- per-episode steering cache ---------------------------------------------
+
+def _reference_vectors(topo, sc, m, state, spacing):
+    """Channel vectors with the steering rebuilt from the path angles."""
+    steer = steering_matrix(state.path_angles, m, spacing)
+    dists = np.linalg.norm(
+        topo.bs_positions[:, None, :] - topo.ue_positions[None, :, :], axis=2)
+    pl_lin = chan.db_to_linear(-chan.pathloss_db(dists, sc.carrier_freq_hz, sc.p_los))
+    amplitude = np.sqrt(pl_lin * chan.db_to_linear(sc.tx_antenna_gain_dbi) / sc.n_paths)
+    return amplitude[..., None] * np.einsum("lupm,lup->lum", steer, state.path_gains)
+
+
+@given(m=st.sampled_from(VALID_ANTENNA_COUNTS),
+       spacing=st.floats(0.05, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       frames=st.integers(1, 30))
+def test_cached_steering_matches_per_frame_rebuild(m, spacing, seed, frames):
+    sc = chan.preset("sub6")
+    topo = chan.init_topology(sc, 2, 1, seed=seed)
+    mobility = np.random.default_rng(seed)
+    state = chan.new_channel_state(seed)
+    for _ in range(frames):
+        chan.draw_channels(topo, sc, m, state, spacing)
+        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, m, state, spacing))
+        topo = chan.step_mobility(topo, sc, mobility)
+
+
+def test_reused_state_rebuilds_steering_for_new_antenna_count():
+    sc = chan.preset("sub6")
+    topo = chan.init_topology(sc, 2, 1, seed=0)
+    state = chan.new_channel_state(0)
+    for m, spacing in ((4, 0.5), (4, 0.5), (8, 0.5), (8, 1.0), (4, 0.5)):
+        chan.draw_channels(topo, sc, m, state, spacing)
+        assert state.vectors.shape == (2, 2, m)
+        assert state.steering.shape == (2, 2, sc.n_paths, m)
+        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, m, state, spacing))
+
+
+# -- compute_sinr properties ----------------------------------------------------
+#
+# compute_sinr forms each UE's interference as total received power minus
+# its signal, which rounds to within about one ulp of the signal.  Relative
+# to the denominator that is eps * SINR, so the tolerances below carry that
+# term on top of the stated relative bound.
+
+EPS = np.finfo(float).eps
+
+
+def _rounding_bound(sinr, rtol=0.0):
+    return (rtol + 4.0 * EPS * (1.0 + sinr)) * sinr
+
+
+# Powers are zero or at least 1e-12 of the cap: smaller ones make received
+# powers subnormal, where floats keep no relative precision at all.
+power_fractions = st.one_of(st.just(0.0), st.floats(1e-12, 1.0))
+sinr_instances = st.tuples(st.sampled_from(VALID_ANTENNA_COUNTS),
+                           st.integers(0, 2 ** 32 - 1),
+                           st.lists(power_fractions, min_size=2, max_size=2))
+
+
+def _sinr_instance(m, seed, fractions):
+    sc, topo, state, beams, _ = _random_instance(np.random.default_rng(seed), m)
+    return sc, topo, state, beams, sc.max_bs_power_w * np.array(fractions)
+
+
+@given(instance=sinr_instances, factor=st.floats(1e-3, 1e3))
+def test_sinr_invariant_to_common_power_and_noise_scaling(instance, factor):
+    sc, topo, state, beams, powers = _sinr_instance(*instance)
+    base = chan.compute_sinr(state, topo, beams, powers, sc)
+    scaled_sc = dataclasses.replace(
+        sc, max_bs_power_w=sc.max_bs_power_w * factor,
+        noise_power_dbm=float(chan.watts_to_dbm(sc.noise_power_w * factor)))
+    scaled = chan.compute_sinr(state, topo, beams, powers * factor, scaled_sc)
+    assert np.all(np.abs(scaled - base) <= _rounding_bound(base, rtol=1e-12))
+
+
+@given(instance=sinr_instances, ue=st.integers(0, 1), raise_frac=st.floats(0.0, 1.0))
+def test_raising_serving_power_never_lowers_sinr(instance, ue, raise_frac):
+    sc, topo, state, beams, powers = _sinr_instance(*instance)
+    base = chan.compute_sinr(state, topo, beams, powers, sc)
+    bs = topo.serving_map[ue]
+    raised = powers.copy()
+    raised[bs] += raise_frac * (sc.max_bs_power_w - powers[bs])
+    more = chan.compute_sinr(state, topo, beams, raised, sc)
+    assert more[ue] >= base[ue] - _rounding_bound(base[ue])
+
+
+@given(instance=sinr_instances, ue=st.integers(0, 1), raise_frac=st.floats(0.0, 1.0))
+def test_raising_other_bs_power_never_raises_sinr(instance, ue, raise_frac):
+    sc, topo, state, beams, powers = _sinr_instance(*instance)
+    base = chan.compute_sinr(state, topo, beams, powers, sc)
+    other = 1 - topo.serving_map[ue]
+    raised = powers.copy()
+    raised[other] += raise_frac * (sc.max_bs_power_w - powers[other])
+    more = chan.compute_sinr(state, topo, beams, raised, sc)
+    # the signal is unchanged and total - signal cannot fall, so this is exact
+    assert more[ue] <= base[ue]

@@ -213,3 +213,22 @@ def test_reset_topology_seed_shares_the_drop_but_not_the_fading():
     assert np.array_equal(topo_a.ue_headings, env.topology.ue_headings)
     assert not np.allclose(vectors_a, env.channel_state.vectors)
     assert not np.array_equal(env.reset(12)[:4], b[:4])
+
+
+def test_episode_builds_its_steering_once(monkeypatch):
+    import cellbeam.channel
+    calls = []
+    build = cellbeam.channel.steering_matrix
+    monkeypatch.setattr(cellbeam.channel, "steering_matrix",
+                        lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
+    env = make_env(m_antennas=64, horizon=50,
+                   policy=SinrPolicy(gamma_cutoff_db=-1000.0, m_antennas=64))
+    env.reset(3)
+    steps = 0
+    while True:
+        steps += 1
+        out = env.step(np.array([46.0, 46.0, 5.0, 9.0]))
+        if out.done:
+            break
+    assert out.truncated and steps == 50
+    assert len(calls) == 1

@@ -252,3 +252,34 @@ def test_validation_seeds_are_held_out():
                              for s in (0, 1) for e in range(cfg.plan.eval_episodes)}
                 assert not set(held_out) & trained
                 assert not set(held_out) & evaluated
+
+
+def test_cli_scenario_keeps_configured_scenario_keys(tmp_path, monkeypatch):
+    path = tmp_path / "cfg"
+    path.write_text("cell_radius_m=200\nepisodes=9\n")
+    monkeypatch.setenv("CELLBEAM_N_PATHS", "7")
+    monkeypatch.setenv("CELLBEAM_EPISODES", "8")
+    seen = []
+    monkeypatch.setattr(harness, "run_plan", lambda cfg: seen.append(cfg) or [])
+    assert harness.main(["--config", str(path), "--scenario", "mmwave",
+                         "--episodes", "3"]) == 0
+    cfg = seen[0]
+    assert cfg.plan.scenario == "mmwave"
+    assert cfg.scenario.carrier_freq_hz == 28e9        # from the new preset
+    assert cfg.scenario.inter_site_distance_m == 225.0
+    assert cfg.scenario.cell_radius_m == 200.0         # config file key kept
+    assert cfg.scenario.n_paths == 7                   # environment variable kept
+    assert cfg.plan.episodes == 3                      # command line beats both
+
+
+def test_cli_rejects_unparsable_option(tmp_path, capsys):
+    code = harness.main(["--antennas", "1,x", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "--antennas" in capsys.readouterr().err
+
+
+def test_optimizer_key_is_unknown(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("optimizer=sgd\n")
+    with pytest.raises(ConfigurationError, match="unknown key 'optimizer'"):
+        harness.parse_config(path)
