@@ -11,7 +11,7 @@ from .channel import (ChannelState, Scenario, Topology, compute_sinr, draw_chann
                       init_topology, new_channel_state, preset, step_mobility)
 from .environment import DownlinkEnv, SinrPolicy, StepOutcome, hierarchical_reward
 from .errors import CellbeamError, ConfigurationError, ContractViolation, UsageError
-from .neuralnet import AdamOptimizer, GradientSet, Mlp, sgd_update, soft_update
+from .neuralnet import AdamOptimizer, GradientSet, Mlp, soft_update
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,6 @@ __all__ = [
     "ContractViolation", "DownlinkEnv", "GradientSet", "Mlp", "Scenario", "SinrPolicy",
     "StepOutcome", "Topology", "UsageError", "beam_from_continuous", "build_codebook",
     "compute_sinr", "draw_channels", "hierarchical_reward", "init_topology",
-    "new_channel_state", "preset", "sgd_update", "soft_update", "step_beam",
+    "new_channel_state", "preset", "soft_update", "step_beam",
     "step_mobility", "steering_vector",
 ]

@@ -64,7 +64,7 @@ def ddpg_train_step(buffer: ReplayBuffer, actor: Mlp, critic: Mlp, target_actor:
     batch_size = batch_size or hyper.batch_size
     if len(buffer) < batch_size:
         return None
-    states, actions, rewards, next_states, terminals = buffer.sample_arrays(batch_size)
+    states, actions, rewards, next_states, terminals = buffer.sample(batch_size)
     states_n = normalize(states)
     next_states_n = normalize(next_states)
     actions_n = scaler.applicable(scaler.to_normalized(actions))

@@ -104,8 +104,7 @@ class DqnAgent(AnchoredAgent):
         hyper = self.hyper
         if len(self.buffer) < hyper.batch_size:
             return None
-        states, actions, rewards, next_states, terminals = \
-            self.buffer.sample_arrays(hyper.batch_size)
+        states, actions, rewards, next_states, terminals = self.buffer.sample(hyper.batch_size)
         states = self.normalize(states)
         next_states = self.normalize(next_states)
         action_ids = actions.astype(int)

@@ -81,10 +81,7 @@ class DownlinkEnv:
     def __init__(self, scenario: chan.Scenario, m_antennas: int = 1, horizon: int = 50,
                  policy: SinrPolicy | None = None, power_floor_dbm: float = 0.0,
                  power_span_db=40.0, bf_limit_multiplier: float = 1.0,
-                 spacing_in_wavelengths: float = 0.5, num_bs: int = 2, ues_per_bs: int = 1):
-        if num_bs != 2 or ues_per_bs != 1:
-            raise ConfigurationError(
-                "the 8-feature observation fixes the world to 2 BSs with 1 UE each")
+                 spacing_in_wavelengths: float = 0.5):
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         self.scenario = scenario
@@ -206,7 +203,6 @@ class DownlinkEnv:
             "sinr_linear": sinr_lin,
             "sinr_db": raw_db,
             "eff_sinr_db": eff_db,
-            "eff_sinr_linear": chan.db_to_linear(eff_db),
             "powers_dbm": self._powers_dbm.copy(),
             "powers_w": powers_w,
             "beam_indices": self._beams.copy(),

@@ -16,13 +16,30 @@ import numpy as np
 from .errors import ContractViolation, UsageError
 
 
+def _layer_views(widths, flat: np.ndarray):
+    """Per-layer weight and bias views into one flat vector.
+
+    Layer i's (fan_in, fan_out) weights, row-major, then its fan_out
+    biases, in layer order; parameters and gradients share this layout.
+    """
+    weights, biases, start = [], [], 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(flat[start:stop].reshape(fan_in, fan_out))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
 @dataclass
 class GradientSet:
-    """Per-tensor gradients matching an Mlp plus the input gradient."""
+    """Gradients in an Mlp's layout (weights, biases view flat) plus the input gradient."""
 
     weights: list
     biases: list
     wrt_input: np.ndarray
+    flat: np.ndarray
+    widths: tuple
 
 
 class Mlp:
@@ -34,6 +51,9 @@ class Mlp:
     them None keeps it linear.  final_layer_scale shrinks the output
     layer's initial weights, which keeps early policy/value outputs near
     zero and avoids saturating the squashed heads before training speaks.
+
+    All parameters live in the one float64 vector params; weights[i] and
+    biases[i] are views into it, so writing through either changes both.
     """
 
     def __init__(self, widths, output_low=None, output_high=None, rng=None,
@@ -44,15 +64,16 @@ class Mlp:
             raise ContractViolation("output bounds must be given together")
         rng = np.random.default_rng(rng)
         self.widths = tuple(int(w) for w in widths)
-        self.weights = []
-        self.biases = []
+        self.params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
+                                   in zip(self.widths[:-1], self.widths[1:])))
+        self.weights, self.biases = _layer_views(self.widths, self.params)
         last = len(self.widths) - 2
-        for i, (fan_in, fan_out) in enumerate(zip(self.widths[:-1], self.widths[1:])):
-            bound = 1.0 / np.sqrt(fan_in)
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            bound = 1.0 / np.sqrt(w.shape[0])
             if i == last:
                 bound *= final_layer_scale
-            self.weights.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, fan_out))
+            w[...] = rng.uniform(-bound, bound, w.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
         if output_low is not None:
             self.output_low = np.broadcast_to(
                 np.asarray(output_low, dtype=float), (self.widths[-1],)).copy()
@@ -106,21 +127,21 @@ class Mlp:
             raise ContractViolation("upstream gradient shape does not match last forward")
         if self.bounded:
             g = g * (self.output_high - self.output_low) / 2.0 * (1.0 - squash ** 2)
-        grad_w = [None] * len(self.weights)
-        grad_b = [None] * len(self.biases)
+        flat = np.empty_like(self.params)
+        grad_w, grad_b = _layer_views(self.widths, flat)
         for i in range(len(self.weights) - 1, -1, -1):
-            grad_w[i] = activations[i].T @ g
-            grad_b[i] = g.sum(axis=0)
+            grad_w[i][...] = activations[i].T @ g
+            grad_b[i][...] = g.sum(axis=0)
             g = g @ self.weights[i].T
             if i > 0:
                 g = g * (1.0 - activations[i] ** 2)
-        return GradientSet(weights=grad_w, biases=grad_b, wrt_input=g)
+        return GradientSet(grad_w, grad_b, g, flat, self.widths)
 
     def copy(self) -> "Mlp":
         clone = object.__new__(Mlp)
         clone.widths = self.widths
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.params = self.params.copy()
+        clone.weights, clone.biases = _layer_views(self.widths, clone.params)
         clone.output_low = None if self.output_low is None else self.output_low.copy()
         clone.output_high = None if self.output_high is None else self.output_high.copy()
         clone._cache = None
@@ -144,33 +165,19 @@ class Mlp:
             net = cls(widths,
                       output_low=data["low"] if "low" in data else None,
                       output_high=data["high"] if "high" in data else None)
-            for i in range(len(net.weights)):
-                net.weights[i] = data[f"w{i}"].copy()
-                net.biases[i] = data[f"b{i}"].copy()
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                w[...] = data[f"w{i}"]
+                b[...] = data[f"b{i}"]
         return net
 
 
 def _check_congruent(net: Mlp, grads: GradientSet) -> None:
-    ok = (len(grads.weights) == len(net.weights)
-          and all(g.shape == w.shape for g, w in zip(grads.weights, net.weights))
-          and all(g.shape == b.shape for g, b in zip(grads.biases, net.biases)))
-    if not ok:
+    if grads.widths != net.widths:
         raise ContractViolation("gradient shapes do not match the network")
 
 
-def sgd_update(net: Mlp, grads: GradientSet, lr: float) -> Mlp:
-    """Plain in-place gradient descent step."""
-    _check_congruent(net, grads)
-    for w, gw in zip(net.weights, grads.weights):
-        w -= lr * gw
-    for b, gb in zip(net.biases, grads.biases):
-        b -= lr * gb
-    _assert_finite(net)
-    return net
-
-
 class AdamOptimizer:
-    """Adam moments bound to one network's parameter tensors.
+    """Adam moments bound to one network's flat parameter vector.
 
     weight_decay applies decoupled shrinkage (p *= 1 - lr * wd) each
     step; with squashed output heads it bounds the pre-activation scale
@@ -186,25 +193,22 @@ class AdamOptimizer:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self._m = [np.zeros_like(p) for p in net.weights + net.biases]
-        self._v = [np.zeros_like(p) for p in net.weights + net.biases]
+        self._m = np.zeros_like(net.params)
+        self._v = np.zeros_like(net.params)
 
     def step(self, grads: GradientSet) -> None:
         _check_congruent(self.net, grads)
         self.t += 1
-        params = self.net.weights + self.net.biases
-        gs = grads.weights + grads.biases
+        p, g, m, v = self.net.params, grads.flat, self._m, self._v
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        shrink = 1.0 - self.lr * self.weight_decay
-        for p, g, m, v in zip(params, gs, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            if self.weight_decay:
-                p *= shrink
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        if self.weight_decay:
+            p *= 1.0 - self.lr * self.weight_decay
+        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
         _assert_finite(self.net)
 
 
@@ -214,13 +218,11 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> Mlp:
         raise ContractViolation("tau must lie in [0, 1]")
     if target.widths != source.widths:
         raise ContractViolation("target and source networks differ in shape")
-    for t, s in zip(target.weights + target.biases, source.weights + source.biases):
-        t *= (1.0 - tau)
-        t += tau * s
+    target.params *= 1.0 - tau
+    target.params += tau * source.params
     return target
 
 
 def _assert_finite(net: Mlp) -> None:
-    for p in net.weights + net.biases:
-        if not np.all(np.isfinite(p)):
-            raise ContractViolation("network parameters became non-finite")
+    if not np.isfinite(net.params).all():
+        raise ContractViolation("network parameters became non-finite")

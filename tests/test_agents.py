@@ -76,12 +76,63 @@ def test_replay_sample_is_subset_without_replacement():
     buf = ReplayBuffer(10, np.random.default_rng(1))
     for i in range(10):
         buf.push(_dummy_transition(i))
-    batch = buf.sample(6)
-    rewards = [t.reward for t in batch]
+    states, actions, rewards, next_states, terminals = buf.sample(6)
     assert len(set(rewards)) == 6
-    assert all(any(t is stored for stored in buf.contents) for t in batch)
+    stored = {t.reward: t for t in buf.contents}
+    for s, a, r, n, d in zip(states, actions, rewards, next_states, terminals):
+        t = stored[r]
+        assert np.array_equal(s, t.state) and np.array_equal(a, t.action)
+        assert np.array_equal(n, t.next_state) and bool(d) == t.terminated
     with pytest.raises(ContractViolation):
         ReplayBuffer(10, np.random.default_rng(2)).sample(1)
+
+
+class _ListReplay:
+    """List-of-Transition ring buffer: the layout the array buffer replaced."""
+
+    def __init__(self, capacity, rng):
+        self.capacity, self.rng, self.items, self.next = capacity, rng, [], 0
+
+    def push(self, transition):
+        if len(self.items) < self.capacity:
+            self.items.append(transition)
+        else:
+            self.items[self.next] = transition
+        self.next = (self.next + 1) % self.capacity
+
+    def sample(self, batch_size):
+        idx = self.rng.choice(len(self.items), size=batch_size, replace=False)
+        batch = [self.items[i] for i in idx]
+        return (np.stack([t.state for t in batch]),
+                np.array([t.action for t in batch], dtype=float),
+                np.array([t.reward for t in batch]),
+                np.stack([t.next_state for t in batch]),
+                np.array([t.terminated for t in batch], dtype=float))
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+def test_array_replay_matches_list_reference_through_wraparound(discrete):
+    data = np.random.default_rng(3)
+    buf = ReplayBuffer(7, np.random.default_rng(4))
+    ref = _ListReplay(7, np.random.default_rng(4))
+    for i in range(30):
+        action = int(data.integers(12)) if discrete else data.standard_normal(4)
+        t = Transition(data.standard_normal(8), action, float(data.standard_normal()),
+                       data.standard_normal(8), bool(data.integers(2)))
+        buf.push(t)
+        ref.push(t)
+        assert len(buf) == len(ref.items)
+        if len(buf) >= 5:
+            for got, want in zip(buf.sample(5), ref.sample(5)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [t.reward for t in buf.contents] == [t.reward for t in ref.items]
+
+
+def test_replay_rejects_a_transition_shaped_unlike_the_first():
+    buf = ReplayBuffer(4, np.random.default_rng(0))
+    buf.push(_dummy_transition(0))
+    with pytest.raises(ContractViolation):
+        buf.push(Transition(np.zeros(8), 3, 0.0, np.zeros(8), False))
 
 
 # -- Q-learning -----------------------------------------------------------------

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellbeam import preset
 from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
-from cellbeam.errors import ConfigurationError, ContractViolation, UsageError
+from cellbeam.errors import ContractViolation, UsageError
+from cellbeam.harness import VALID_ANTENNA_COUNTS
 
 
 def make_env(**kwargs):
@@ -158,13 +161,6 @@ def test_hierarchical_reward():
         hierarchical_reward(1.0, goal, goal[:3])
 
 
-def test_env_requires_two_cells():
-    with pytest.raises(ConfigurationError):
-        DownlinkEnv(preset("sub6"), num_bs=3)
-    with pytest.raises(ConfigurationError):
-        DownlinkEnv(preset("sub6"), ues_per_bs=2)
-
-
 def test_action_bounds_expose_table_limits():
     env = make_env(m_antennas=8, power_span_db=(40.0, 40.0))
     assert np.array_equal(env.action_low, [0.0, 0.0, 0.0, 0.0])
@@ -232,3 +228,14 @@ def test_episode_builds_its_steering_once(monkeypatch):
             break
     assert out.truncated and steps == 50
     assert len(calls) == 1
+
+
+@given(m=st.sampled_from(VALID_ANTENNA_COUNTS),
+       floor=st.floats(-30.0, 40.0),
+       action=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=4, max_size=4))
+def test_apply_action_lands_in_range_for_any_finite_action(m, floor, action):
+    env = make_env(m_antennas=m, power_floor_dbm=floor)
+    powers, beams = env.apply_action(action)
+    assert np.all(powers >= floor) and np.all(powers <= env.scenario.max_bs_power_dbm)
+    assert np.all(beams >= 0) and np.all(beams < env.codebook.size)

@@ -169,20 +169,6 @@ def test_bounded_output_stays_in_bounds():
         assert np.all(y >= low) and np.all(y <= high)
 
 
-def test_sgd_update():
-    net = nn.Mlp([1, 1], rng=10)
-    net.weights[0][:] = 1.0
-    net.biases[0][:] = 0.0
-    net.forward(np.ones(1))
-    grads = net.backward(np.ones(1))
-    grads.weights[0][:] = 2.0
-    grads.biases[0][:] = 0.0
-    nn.sgd_update(net, grads, lr=0.1)
-    assert net.weights[0][0, 0] == pytest.approx(0.8)
-    nn.sgd_update(net, grads, lr=0.0)
-    assert net.weights[0][0, 0] == pytest.approx(0.8)
-
-
 def test_adam_zero_gradient_is_noop():
     net = nn.Mlp([2, 2], rng=11)
     before = [p.copy() for p in net.weights + net.biases]
@@ -247,3 +233,79 @@ def test_save_load_roundtrip(tmp_path):
     loaded = nn.Mlp.load(path)
     x = np.random.default_rng(23).standard_normal(4)
     assert np.array_equal(net.forward(x), loaded.forward(x))
+
+
+# -- flat parameter layout ------------------------------------------------------
+
+def _reference_adam_step(params, moments, grads, t, lr, weight_decay,
+                         beta1=0.9, beta2=0.999, eps=1e-8):
+    """Per-tensor Adam with decoupled decay: the loop the flat step replaced."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    shrink = 1.0 - lr * weight_decay
+    for p, g, (m, v) in zip(params, grads, moments):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        if weight_decay:
+            p *= shrink
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def _reference_soft_update(target, source, tau):
+    for t, s in zip(target, source):
+        t *= (1.0 - tau)
+        t += tau * s
+
+
+def test_flat_adam_and_soft_update_match_per_tensor_loops():
+    rng = np.random.default_rng(24)
+    net = nn.Mlp([5, 7, 7, 3], output_low=-np.ones(3), output_high=np.ones(3), rng=25)
+    target = net.copy()
+    opt = nn.AdamOptimizer(net, lr=0.01, weight_decay=0.5)
+    ref = [p.copy() for p in net.weights + net.biases]
+    ref_target = [p.copy() for p in ref]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in ref]
+    for t in range(1, 21):
+        net.forward(rng.standard_normal((4, 5)))
+        grads = net.backward(rng.standard_normal((4, 3)))
+        opt.step(grads)
+        nn.soft_update(target, net, 0.1)
+        _reference_adam_step(ref, moments, grads.weights + grads.biases, t, 0.01, 0.5)
+        _reference_soft_update(ref_target, ref, 0.1)
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights + net.biases, ref))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(target.weights + target.biases, ref_target))
+
+
+def test_layer_views_write_through_after_copy_and_load(tmp_path):
+    net = nn.Mlp([3, 4, 2], rng=26)
+    path = tmp_path / "net.npz"
+    net.save(path)
+    x = np.array([0.5, -1.0, 2.0])
+    for clone in (net.copy(), nn.Mlp.load(path)):
+        before = clone.forward(x)
+        params_before = clone.params.copy()
+        clone.weights[1][...] += 1.0
+        clone.biases[0][...] = 0.0
+        assert not np.array_equal(clone.forward(x), before)
+        assert not np.array_equal(clone.params, params_before)
+        weights, biases = nn._layer_views(clone.widths, clone.params)
+        assert all(np.array_equal(a, b) for a, b in zip(weights + biases,
+                                                        clone.weights + clone.biases))
+    assert np.array_equal(net.forward(x), nn.Mlp.load(path).forward(x))
+
+
+def test_adam_rejects_foreign_gradients_and_non_finite_parameters():
+    net = nn.Mlp([2, 3, 2], rng=27)
+    other = nn.Mlp([2, 4, 2], rng=28)
+    opt = nn.AdamOptimizer(net, lr=0.1)
+    other.forward(np.ones(2))
+    with pytest.raises(ContractViolation):
+        opt.step(other.backward(np.ones(2)))
+    net.forward(np.ones(2))
+    grads = net.backward(np.ones(2))
+    grads.biases[0][0] = np.nan
+    with pytest.raises(ContractViolation):
+        opt.step(grads)
