@@ -92,7 +92,7 @@ class AgentHyperparams:
     actor_weight_decay: float = 0.0   # decoupled decay; keeps policy heads unsaturated
     critic_weight_decay: float = 0.0
     goal_penalty_weight: float = 1.0
-    power_step_db: tuple = (1.0, 3.0)
+    power_step_db: tuple[float, ...] = (1.0, 3.0)
     pc_limit_db: float = 40.0
     ic_limit_db: float = 40.0
     bf_limit_multiplier: float = 1.0
@@ -101,17 +101,23 @@ class AgentHyperparams:
     position_bins: int = 8
     power_levels: int = 4
     q_lr: float = 0.1                 # tabular Q-learning step size
-    q_power_step_db: tuple = (3.0,)   # tabular agent's power deltas (+/- each)
+    q_power_step_db: tuple[float, ...] = (3.0,)   # tabular agent's power deltas (+/- each)
 
     def __post_init__(self):
         if not 0.0 < self.discount < 1.0:
             raise ConfigurationError("discount must lie in (0, 1)")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError("tau must lie in [0, 1]")
-        if self.meta_period < 1:
-            raise ConfigurationError("meta_period must be >= 1")
+        for name, low in (("width", 1), ("batch_size", 1), ("meta_batch_size", 1),
+                          ("controller_batch_size", 1), ("meta_period", 1),
+                          ("dqn_updates_per_step", 1), ("position_bins", 1),
+                          ("power_levels", 1), ("noise_scale", 0), ("train_geometry_cycle", 0)):
+            if getattr(self, name) < low:
+                raise ConfigurationError(f"{name} must be >= {low}")
         if self.lr <= 0:
-            raise ConfigurationError("learning rate must be positive")
+            raise ConfigurationError("lr must be positive")
+        if self.actor_lr is not None and self.actor_lr <= 0:
+            raise ConfigurationError("actor_lr must be positive")
         if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
             raise ConfigurationError("epsilon schedule must satisfy 0 <= end <= start <= 1")
         if not 0.0 < self.eps_decay_frac <= 1.0:

@@ -61,7 +61,7 @@ def ddpg_train_step(buffer: ReplayBuffer, actor: Mlp, critic: Mlp, target_actor:
     than the batch.  Terminated (aborted) transitions drop the bootstrap
     term; horizon-truncated ones keep it.
     """
-    batch_size = batch_size or hyper.batch_size
+    batch_size = hyper.batch_size if batch_size is None else batch_size
     if len(buffer) < batch_size:
         return None
     states, actions, rewards, next_states, terminals = buffer.sample(batch_size)
@@ -95,7 +95,7 @@ class DdpgAgent(AnchoredAgent):
     def __init__(self, env, hyper: AgentHyperparams, seed: int,
                  batch_size: int | None = None):
         self.hyper = hyper
-        self.batch_size = batch_size or hyper.batch_size
+        self.batch_size = hyper.batch_size if batch_size is None else batch_size
         self.normalize = StateNormalizer(env.state_low, env.state_high)
         self.scaler = ActionScaler(env.action_low, env.action_high)
         self._init_anchor(env)

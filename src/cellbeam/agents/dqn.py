@@ -95,7 +95,7 @@ class DqnAgent(AnchoredAgent):
                                     float(reward), np.asarray(next_state, dtype=float),
                                     bool(terminated)))
         loss = None
-        for _ in range(max(1, self.hyper.dqn_updates_per_step)):
+        for _ in range(self.hyper.dqn_updates_per_step):
             step_loss = self.train_step()
             loss = step_loss if step_loss is not None else loss
         return loss

@@ -14,7 +14,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,14 +40,18 @@ class EnvSettings:
     gamma0_db: float = 5.0
     power_floor_dbm: float = 0.0
 
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ConfigurationError("horizon must be >= 1")
+
 
 @dataclass
 class ExperimentPlan:
     """What to sweep and where to put the results."""
 
-    algorithms: tuple = ("fpa", "qlearning", "dqn", "ddpg", "hddpg")
-    antenna_counts: tuple = (1, 4, 8)
-    seeds: tuple = (0, 1, 2)
+    algorithms: tuple[str, ...] = ("fpa", "qlearning", "dqn", "ddpg", "hddpg")
+    antenna_counts: tuple[int, ...] = (1, 4, 8)
+    seeds: tuple[int, ...] = (0, 1, 2)
     episodes: int = 300
     eval_episodes: int = 50
     scenario: str = "sub6"
@@ -54,6 +59,10 @@ class ExperimentPlan:
     out_format: str = "csv"
 
     def validate(self) -> None:
+        if not self.algorithms:
+            raise ConfigurationError("algo must list at least one algorithm")
+        if not self.antenna_counts:
+            raise ConfigurationError("antennas must list at least one antenna count")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigurationError(
@@ -79,8 +88,8 @@ class ExperimentPlan:
 class RunConfig:
     plan: ExperimentPlan = field(default_factory=ExperimentPlan)
     scenario: Scenario = field(default_factory=lambda: preset("sub6"))
-    hyper: AgentHyperparams = field(default_factory=AgentHyperparams)
     env: EnvSettings = field(default_factory=EnvSettings)
+    hyper: AgentHyperparams = field(default_factory=AgentHyperparams)
 
 
 # -- config file handling ----------------------------------------------------
@@ -100,64 +109,40 @@ def _parse_bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# key -> (section, field name, parser)
-CONFIG_SCHEMA = {
-    "algo": ("plan", "algorithms", _parse_list(str)),
-    "antennas": ("plan", "antenna_counts", _parse_list(int)),
-    "seeds": ("plan", "seeds", _parse_list(int)),
-    "episodes": ("plan", "episodes", int),
-    "eval_episodes": ("plan", "eval_episodes", int),
-    "scenario": ("plan", "scenario", str),
-    "out": ("plan", "output_dir", str),
-    "format": ("plan", "out_format", str),
-    "carrier_freq_hz": ("scenario", "carrier_freq_hz", float),
-    "cell_radius_m": ("scenario", "cell_radius_m", float),
-    "inter_site_distance_m": ("scenario", "inter_site_distance_m", float),
-    "n_paths": ("scenario", "n_paths", int),
-    "p_los": ("scenario", "p_los", float),
-    "ue_speed_kmh": ("scenario", "ue_speed_kmh", float),
-    "frame_duration_s": ("scenario", "frame_duration_s", float),
-    "noise_power_dbm": ("scenario", "noise_power_dbm", float),
-    "tx_antenna_gain_dbi": ("scenario", "tx_antenna_gain_dbi", float),
-    "max_bs_power_w": ("scenario", "max_bs_power_w", float),
-    "horizon": ("env", "horizon", int),
-    "gamma_cutoff_db": ("env", "gamma_cutoff_db", float),
-    "gamma0_db": ("env", "gamma0_db", float),
-    "power_floor_dbm": ("env", "power_floor_dbm", float),
-    "discount": ("hyper", "discount", float),
-    "tau": ("hyper", "tau", float),
-    "lr": ("hyper", "lr", float),
-    "actor_lr": ("hyper", "actor_lr", float),
-    "width": ("hyper", "width", int),
-    "depth": ("hyper", "depth", int),
-    "batch_size": ("hyper", "batch_size", int),
-    "meta_batch_size": ("hyper", "meta_batch_size", int),
-    "controller_batch_size": ("hyper", "controller_batch_size", int),
-    "meta_period": ("hyper", "meta_period", int),
-    "noise_scale": ("hyper", "noise_scale", float),
-    "noise_end_frac": ("hyper", "noise_end_frac", float),
-    "use_ou_noise": ("hyper", "use_ou_noise", _parse_bool),
-    "eps_start": ("hyper", "eps_start", float),
-    "eps_end": ("hyper", "eps_end", float),
-    "eps_decay_frac": ("hyper", "eps_decay_frac", float),
-    "replay_capacity": ("hyper", "replay_capacity", int),
-    "dqn_updates_per_step": ("hyper", "dqn_updates_per_step", int),
-    "dqn_greedy_margin": ("hyper", "dqn_greedy_margin", float),
-    "reward_scale": ("hyper", "reward_scale", float),
-    "final_layer_scale": ("hyper", "final_layer_scale", float),
-    "actor_weight_decay": ("hyper", "actor_weight_decay", float),
-    "critic_weight_decay": ("hyper", "critic_weight_decay", float),
-    "goal_penalty_weight": ("hyper", "goal_penalty_weight", float),
-    "power_step_db": ("hyper", "power_step_db", _parse_list(float)),
-    "pc_limit_db": ("hyper", "pc_limit_db", float),
-    "ic_limit_db": ("hyper", "ic_limit_db", float),
-    "bf_limit_multiplier": ("hyper", "bf_limit_multiplier", float),
-    "train_geometry_cycle": ("hyper", "train_geometry_cycle", int),
-    "position_bins": ("hyper", "position_bins", int),
-    "power_levels": ("hyper", "power_levels", int),
-    "q_lr": ("hyper", "q_lr", float),
-    "q_power_step_db": ("hyper", "q_power_step_db", _parse_list(float)),
-}
+# config keys that differ from their field's name; run_cell sets total_episodes
+_KEY_ALIASES = {"algorithms": "algo", "antenna_counts": "antennas",
+                "output_dir": "out", "out_format": "format"}
+_DERIVED_FIELDS = ("total_episodes",)
+
+
+def _field_parser(tp):
+    """Text parser for a field type: bool, tuple[T, ...] and X | None are special."""
+    if tp is bool:
+        return _parse_bool
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return _parse_list(args[0])
+    if type(None) in args:
+        return _field_parser(next(a for a in args if a is not type(None)))
+    return tp
+
+
+_SECTIONS = typing.get_type_hints(RunConfig)    # section name -> dataclass
+
+
+def _derive_schema() -> dict:
+    """key -> (section, field name, parser), in section and field order."""
+    schema = {}
+    for section, cls in _SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            if f.name not in _DERIVED_FIELDS:
+                schema[_KEY_ALIASES.get(f.name, f.name)] = (
+                    section, f.name, _field_parser(hints[f.name]))
+    return schema
+
+
+CONFIG_SCHEMA = _derive_schema()
 
 
 def _read_config_lines(path) -> dict:
@@ -194,7 +179,7 @@ def parse_config(path=None, cli_values=None) -> RunConfig:
     for key, text in (cli_values or {}).items():
         values[key] = (text, f"command-line option --{key}")
 
-    sections = {"plan": {}, "scenario": {}, "hyper": {}, "env": {}}
+    sections = {name: {} for name in _SECTIONS}
     for key, (text, where) in values.items():
         section, attr, parser = CONFIG_SCHEMA[key]
         try:
@@ -202,25 +187,18 @@ def parse_config(path=None, cli_values=None) -> RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigurationError(f"{where}: cannot parse {key}={text!r}: {exc}") from exc
 
-    plan = ExperimentPlan(**sections["plan"])
+    plan = ExperimentPlan(**sections.pop("plan"))
     plan.validate()
-    scenario_params = dict(SCENARIO_PRESETS[plan.scenario])
-    scenario_params.update(sections["scenario"])
-    scenario = Scenario(**scenario_params)
-    hyper = AgentHyperparams(**sections["hyper"])
-    env = EnvSettings(**sections["env"])
-    if env.horizon < 1:
-        raise ConfigurationError("horizon must be >= 1")
-    return RunConfig(plan=plan, scenario=scenario, hyper=hyper, env=env)
+    sections["scenario"] = {**SCENARIO_PRESETS[plan.scenario], **sections["scenario"]}
+    return RunConfig(plan=plan, **{name: _SECTIONS[name](**kwargs)
+                                   for name, kwargs in sections.items()})
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit a config file that parses back to the same RunConfig."""
     lines = []
-    holders = {"plan": cfg.plan, "scenario": cfg.scenario, "hyper": cfg.hyper,
-               "env": cfg.env}
     for key, (section, attr, _) in CONFIG_SCHEMA.items():
-        value = getattr(holders[section], attr)
+        value = getattr(getattr(cfg, section), attr)
         if value is None:
             continue
         if isinstance(value, tuple):
@@ -346,37 +324,8 @@ def run_plan(cfg: RunConfig):
                 summaries.append(summary)
                 sample_sets.append(samples)
 
-    pooled = _pool_sample_sets(sample_sets)
-    if cfg.plan.out_format == "csv":
-        metrics.write_summary_csv(os.path.join(out_dir, "summary.csv"), summaries)
-        metrics.write_ccdf_csv(os.path.join(out_dir, "ccdf.csv"), sample_sets, grid)
-        metrics.write_ccdf_csv(os.path.join(out_dir, "ccdf_pooled.csv"), pooled, grid)
-    else:
-        import json
-        rows = [{"algorithm": s.algorithm, "m_antennas": s.m_antennas, "seed": s.seed,
-                 "metric": name, "value": None if not math.isfinite(value) else value}
-                for s in summaries for name, value in s.metric_items()]
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        ccdf_rows = [{"algorithm": s.algorithm, "m_antennas": s.m_antennas,
-                      "seed": s.seed, "threshold_db": t, "probability": p}
-                     for s in sample_sets + pooled for t, p in metrics.ccdf(s, grid)]
-        with open(os.path.join(out_dir, "ccdf.json"), "w") as fh:
-            json.dump(ccdf_rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    metrics.write_plan_tables(out_dir, cfg.plan.out_format, summaries, sample_sets, grid)
     return summaries
-
-
-def _pool_sample_sets(sample_sets):
-    """Merge per-seed SINR samples into one set per (algorithm, M)."""
-    pooled = {}
-    for sset in sample_sets:
-        key = (sset.algorithm, sset.m_antennas)
-        pooled.setdefault(key, []).append(sset.samples)
-    return [metrics.SinrSampleSet(samples=np.concatenate(chunks), algorithm=algo,
-                                  m_antennas=m, seed=-1)
-            for (algo, m), chunks in pooled.items()]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -402,10 +351,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config, cli_values)
         summaries = run_plan(cfg)
-    except CellbeamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (CellbeamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

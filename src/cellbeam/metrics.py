@@ -9,7 +9,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,7 +65,9 @@ def ccdf(samples, threshold_grid) -> list[tuple[float, float]]:
         raise ContractViolation("CCDF needs at least one sample")
     if not np.all(np.isfinite(values)):
         raise ContractViolation("CCDF samples must be finite")
-    return [(float(x), float(np.mean(values > x))) for x in np.asarray(threshold_grid)]
+    grid = np.asarray(threshold_grid, dtype=float)
+    above = values.size - np.searchsorted(np.sort(values, axis=None), grid, side="right")
+    return list(zip(grid.tolist(), (above / values.size).tolist()))
 
 
 def sum_rate(eff_sinr_linear, horizon: int | None = None) -> float:
@@ -127,62 +130,95 @@ def convergence_point(loss_series, window: int = 20, rel_tol: float = 0.05) -> i
 
 # -- file emitters ----------------------------------------------------------
 
+_SUMMARY_COLUMNS = ("algorithm", "m_antennas", "seed", "metric", "value")
+_CCDF_COLUMNS = ("algorithm", "m_antennas", "seed", "threshold_db", "probability")
+
+
+def _summary_rows(summaries):
+    """Long-format rows: one per (algorithm, M, seed, metric)."""
+    return ((s.algorithm, s.m_antennas, s.seed, metric, value)
+            for s in summaries for metric, value in s.metric_items())
+
+
+def _ccdf_rows(sample_sets, threshold_grid):
+    """Long-format CCDF rows for every sample set over one threshold grid."""
+    return ((sset.algorithm, sset.m_antennas, sset.seed, threshold, prob)
+            for sset in sample_sets for threshold, prob in ccdf(sset, threshold_grid))
+
+
+def _pool_sample_sets(sample_sets) -> list:
+    """Merge per-seed SINR samples into one set per (algorithm, M), tagged seed -1."""
+    pooled = {}
+    for sset in sample_sets:
+        pooled.setdefault((sset.algorithm, sset.m_antennas), []).append(sset.samples)
+    return [SinrSampleSet(samples=np.concatenate(chunks), algorithm=algo,
+                          m_antennas=m, seed=-1)
+            for (algo, m), chunks in pooled.items()]
+
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_, int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def write_episode_csv(path, logs) -> None:
-    """One row per training episode with its headline quantities."""
+def _write_csv(path, columns, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["episode", "steps", "episode_return", "mean_loss", "aborted",
-                         "avg_power_dbm", "avg_norm_power", "mean_eff_sinr_db"])
-        for i, log in enumerate(logs):
-            writer.writerow([i, log.steps, _fmt(log.episode_return), _fmt(log.mean_loss),
-                             _fmt(log.aborted), _fmt(log.powers_dbm.mean()),
-                             _fmt(log.norm_power.mean()), _fmt(log.eff_sinr_db.mean())])
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+
+
+def _null_non_finite(payload):
+    """Replace every non-finite float in nested dicts and lists by None, in place."""
+    for key, value in payload.items() if isinstance(payload, dict) else enumerate(payload):
+        if isinstance(value, float) and not math.isfinite(value):
+            payload[key] = None
+        elif isinstance(value, (dict, list)):
+            _null_non_finite(value)
+
+
+def _write_json(path, payload) -> None:
+    """Stream a freshly built payload as JSON; non-finite floats become null."""
+    _null_non_finite(payload)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
+def write_episode_csv(path, logs) -> None:
+    """One row per training episode with its headline quantities."""
+    _write_csv(path, ("episode", "steps", "episode_return", "mean_loss", "aborted",
+                      "avg_power_dbm", "avg_norm_power", "mean_eff_sinr_db"),
+               [(i, log.steps, log.episode_return, log.mean_loss, log.aborted,
+                 log.powers_dbm.mean(), log.norm_power.mean(), log.eff_sinr_db.mean())
+                for i, log in enumerate(logs)])
 
 
 def write_summary_csv(path, summaries) -> None:
-    """Long-format rows: one per (algorithm, M, seed, metric)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "m_antennas", "seed", "metric", "value"])
-        for s in summaries:
-            for metric, value in s.metric_items():
-                writer.writerow([s.algorithm, s.m_antennas, s.seed, metric, _fmt(value)])
+    _write_csv(path, _SUMMARY_COLUMNS, _summary_rows(summaries))
 
 
 def write_ccdf_csv(path, sample_sets, threshold_grid) -> None:
-    """Long-format CCDF rows for every sample set over one threshold grid."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "m_antennas", "seed", "threshold_db", "probability"])
-        for sset in sample_sets:
-            for threshold, prob in ccdf(sset, threshold_grid):
-                writer.writerow([sset.algorithm, sset.m_antennas, sset.seed,
-                                 _fmt(threshold), _fmt(prob)])
+    _write_csv(path, _CCDF_COLUMNS, _ccdf_rows(sample_sets, threshold_grid))
 
 
 def write_json_summary(path, summary: RunSummary) -> None:
-    payload = {
-        "algorithm": summary.algorithm,
-        "m_antennas": summary.m_antennas,
-        "seed": summary.seed,
-        "avg_sum_rate": summary.avg_sum_rate,
-        "avg_effective_sinr_db": summary.avg_effective_sinr_db,
-        "avg_normalized_tx_power": summary.avg_normalized_tx_power,
-        "abort_rate": summary.abort_rate,
-        "convergence_episode": summary.convergence_episode,
-        "loss_series": [None if not math.isfinite(x) else x for x in summary.loss_series],
-        "greedy_policy": summary.greedy_policy,
-        "validation": summary.validation,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, asdict(summary))
+
+
+def write_plan_tables(out_dir, out_format: str, summaries, sample_sets,
+                      threshold_grid) -> None:
+    """A plan's summary and CCDF tables; json puts the pooled CCDF rows in ccdf.json."""
+    pooled = _pool_sample_sets(sample_sets)
+    if out_format == "csv":
+        write_summary_csv(os.path.join(out_dir, "summary.csv"), summaries)
+        write_ccdf_csv(os.path.join(out_dir, "ccdf.csv"), sample_sets, threshold_grid)
+        write_ccdf_csv(os.path.join(out_dir, "ccdf_pooled.csv"), pooled, threshold_grid)
+        return
+    for name, columns, rows in (
+            ("summary.json", _SUMMARY_COLUMNS, _summary_rows(summaries)),
+            ("ccdf.json", _CCDF_COLUMNS, _ccdf_rows(sample_sets + pooled, threshold_grid))):
+        _write_json(os.path.join(out_dir, name), [dict(zip(columns, row)) for row in rows])

@@ -62,11 +62,8 @@ class Mlp:
             raise ContractViolation("widths must list >= 2 positive layer sizes")
         if (output_low is None) != (output_high is None):
             raise ContractViolation("output bounds must be given together")
+        self._bind(tuple(int(w) for w in widths), output_low, output_high)
         rng = np.random.default_rng(rng)
-        self.widths = tuple(int(w) for w in widths)
-        self.params = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out
-                                   in zip(self.widths[:-1], self.widths[1:])))
-        self.weights, self.biases = _layer_views(self.widths, self.params)
         last = len(self.widths) - 2
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             bound = 1.0 / np.sqrt(w.shape[0])
@@ -74,11 +71,20 @@ class Mlp:
                 bound *= final_layer_scale
             w[...] = rng.uniform(-bound, bound, w.shape)
             b[...] = rng.uniform(-bound, bound, b.shape)
+
+    def _bind(self, widths: tuple, output_low, output_high, params=None) -> None:
+        """Set widths, bounds and views into params (fresh, unfilled if None); no draws."""
+        self.widths = widths
+        if params is None:
+            params = np.empty(sum((fan_in + 1) * fan_out
+                                  for fan_in, fan_out in zip(widths[:-1], widths[1:])))
+        self.params = params
+        self.weights, self.biases = _layer_views(widths, params)
         if output_low is not None:
             self.output_low = np.broadcast_to(
-                np.asarray(output_low, dtype=float), (self.widths[-1],)).copy()
+                np.asarray(output_low, dtype=float), (widths[-1],)).copy()
             self.output_high = np.broadcast_to(
-                np.asarray(output_high, dtype=float), (self.widths[-1],)).copy()
+                np.asarray(output_high, dtype=float), (widths[-1],)).copy()
             if np.any(self.output_high < self.output_low):
                 raise ContractViolation("output_high must be >= output_low")
         else:
@@ -139,12 +145,7 @@ class Mlp:
 
     def copy(self) -> "Mlp":
         clone = object.__new__(Mlp)
-        clone.widths = self.widths
-        clone.params = self.params.copy()
-        clone.weights, clone.biases = _layer_views(self.widths, clone.params)
-        clone.output_low = None if self.output_low is None else self.output_low.copy()
-        clone.output_high = None if self.output_high is None else self.output_high.copy()
-        clone._cache = None
+        clone._bind(self.widths, self.output_low, self.output_high, self.params.copy())
         return clone
 
     def save(self, path) -> None:
@@ -161,10 +162,10 @@ class Mlp:
     @classmethod
     def load(cls, path) -> "Mlp":
         with np.load(path) as data:
-            widths = [int(w) for w in data["widths"]]
-            net = cls(widths,
-                      output_low=data["low"] if "low" in data else None,
-                      output_high=data["high"] if "high" in data else None)
+            net = object.__new__(cls)
+            net._bind(tuple(int(w) for w in data["widths"]),
+                      data["low"] if "low" in data else None,
+                      data["high"] if "high" in data else None)
             for i, (w, b) in enumerate(zip(net.weights, net.biases)):
                 w[...] = data[f"w{i}"]
                 b[...] = data[f"b{i}"]

@@ -443,6 +443,14 @@ def test_hyperparams_validation():
         AgentHyperparams(tau=1.5)
     with pytest.raises(ConfigurationError):
         AgentHyperparams(meta_period=0)
+    for key, bad in (("batch_size", 0), ("meta_batch_size", 0), ("controller_batch_size", 0),
+                     ("width", 0), ("position_bins", 0), ("power_levels", 0),
+                     ("actor_lr", 0.0), ("actor_lr", -1e-3), ("noise_scale", -0.1),
+                     ("dqn_updates_per_step", 0), ("train_geometry_cycle", -3)):
+        with pytest.raises(ConfigurationError, match=key):
+            AgentHyperparams(**{key: bad})
+    assert AgentHyperparams(actor_lr=None, noise_scale=0.0,
+                            train_geometry_cycle=0).actor_lr is None
     defaults = AgentHyperparams()
     assert (defaults.discount, defaults.tau, defaults.lr) == (0.9, 0.1, 1e-4)
     assert (defaults.width, defaults.depth, defaults.meta_period) == (28, 4, 3)

@@ -1,9 +1,19 @@
+import csv
+import json
+import math
 import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellbeam import harness
+from cellbeam.agents import ALGORITHMS
+from cellbeam.channel import SCENARIO_PRESETS
 from cellbeam.agents import AgentHyperparams
 from cellbeam.errors import ConfigurationError
 
@@ -283,3 +293,173 @@ def test_optimizer_key_is_unknown(tmp_path):
     path.write_text("optimizer=sgd\n")
     with pytest.raises(ConfigurationError, match="unknown key 'optimizer'"):
         harness.parse_config(path)
+
+
+# -- derived config schema -----------------------------------------------------
+
+# key -> (section, field) as the hand-kept table listed it before the schema was
+# derived from the dataclasses; the derived mapping must not drift from it
+REFERENCE_SCHEMA = {
+    "algo": ("plan", "algorithms"),
+    "antennas": ("plan", "antenna_counts"),
+    "seeds": ("plan", "seeds"),
+    "episodes": ("plan", "episodes"),
+    "eval_episodes": ("plan", "eval_episodes"),
+    "scenario": ("plan", "scenario"),
+    "out": ("plan", "output_dir"),
+    "format": ("plan", "out_format"),
+    "carrier_freq_hz": ("scenario", "carrier_freq_hz"),
+    "cell_radius_m": ("scenario", "cell_radius_m"),
+    "inter_site_distance_m": ("scenario", "inter_site_distance_m"),
+    "n_paths": ("scenario", "n_paths"),
+    "p_los": ("scenario", "p_los"),
+    "ue_speed_kmh": ("scenario", "ue_speed_kmh"),
+    "frame_duration_s": ("scenario", "frame_duration_s"),
+    "noise_power_dbm": ("scenario", "noise_power_dbm"),
+    "tx_antenna_gain_dbi": ("scenario", "tx_antenna_gain_dbi"),
+    "max_bs_power_w": ("scenario", "max_bs_power_w"),
+    "horizon": ("env", "horizon"),
+    "gamma_cutoff_db": ("env", "gamma_cutoff_db"),
+    "gamma0_db": ("env", "gamma0_db"),
+    "power_floor_dbm": ("env", "power_floor_dbm"),
+    "discount": ("hyper", "discount"),
+    "tau": ("hyper", "tau"),
+    "lr": ("hyper", "lr"),
+    "actor_lr": ("hyper", "actor_lr"),
+    "width": ("hyper", "width"),
+    "depth": ("hyper", "depth"),
+    "batch_size": ("hyper", "batch_size"),
+    "meta_batch_size": ("hyper", "meta_batch_size"),
+    "controller_batch_size": ("hyper", "controller_batch_size"),
+    "meta_period": ("hyper", "meta_period"),
+    "noise_scale": ("hyper", "noise_scale"),
+    "noise_end_frac": ("hyper", "noise_end_frac"),
+    "use_ou_noise": ("hyper", "use_ou_noise"),
+    "eps_start": ("hyper", "eps_start"),
+    "eps_end": ("hyper", "eps_end"),
+    "eps_decay_frac": ("hyper", "eps_decay_frac"),
+    "replay_capacity": ("hyper", "replay_capacity"),
+    "dqn_updates_per_step": ("hyper", "dqn_updates_per_step"),
+    "dqn_greedy_margin": ("hyper", "dqn_greedy_margin"),
+    "reward_scale": ("hyper", "reward_scale"),
+    "final_layer_scale": ("hyper", "final_layer_scale"),
+    "actor_weight_decay": ("hyper", "actor_weight_decay"),
+    "critic_weight_decay": ("hyper", "critic_weight_decay"),
+    "goal_penalty_weight": ("hyper", "goal_penalty_weight"),
+    "power_step_db": ("hyper", "power_step_db"),
+    "pc_limit_db": ("hyper", "pc_limit_db"),
+    "ic_limit_db": ("hyper", "ic_limit_db"),
+    "bf_limit_multiplier": ("hyper", "bf_limit_multiplier"),
+    "train_geometry_cycle": ("hyper", "train_geometry_cycle"),
+    "position_bins": ("hyper", "position_bins"),
+    "power_levels": ("hyper", "power_levels"),
+    "q_lr": ("hyper", "q_lr"),
+    "q_power_step_db": ("hyper", "q_power_step_db"),
+}
+
+
+def test_config_schema_matches_reference_mapping():
+    derived = {key: (section, attr) for key, (section, attr, _) in harness.CONFIG_SCHEMA.items()}
+    assert derived == REFERENCE_SCHEMA
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    key_list = section.split("The keys, by section:\n\n", 1)[1].split("\n\n", 1)[0]
+    keys = re.findall(r"`([a-z0-9_]+)`", key_list)
+    assert sorted(keys) == sorted(harness.CONFIG_SCHEMA)
+
+
+_UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_FLOAT_TUPLES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=4).map(tuple)
+_KEY_VALUES = {
+    "algo": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=5).map(tuple),
+    "antennas": st.lists(st.sampled_from(harness.VALID_ANTENNA_COUNTS),
+                         min_size=1, max_size=6).map(tuple),
+    "seeds": st.lists(st.integers(0, 2**32), min_size=1, max_size=4).map(tuple),
+    "scenario": st.sampled_from(sorted(SCENARIO_PRESETS)),
+    "out": st.text(alphabet="abz09_-./", min_size=1, max_size=12),
+    "format": st.sampled_from(("csv", "json")),
+    "actor_lr": st.none() | _UNIT_FLOATS,
+    "power_step_db": _FLOAT_TUPLES,
+    "q_power_step_db": _FLOAT_TUPLES,
+}
+# every other key by its parser; floats in (0, 1) satisfy every range check
+_PARSER_VALUES = {int: st.integers(1, 10**6), float: _UNIT_FLOATS,
+                  harness._parse_bool: st.booleans()}
+
+
+@st.composite
+def _configs(draw):
+    sections = {}
+    for key, (section, attr, parser) in harness.CONFIG_SCHEMA.items():
+        value = draw(_KEY_VALUES[key] if key in _KEY_VALUES else _PARSER_VALUES[parser])
+        sections.setdefault(section, {})[attr] = value
+    hyper = sections["hyper"]
+    hyper["eps_end"], hyper["eps_start"] = sorted((hyper["eps_end"], hyper["eps_start"]))
+    defaults = harness.RunConfig()
+    return harness.RunConfig(**{name: type(getattr(defaults, name))(**values)
+                                for name, values in sections.items()})
+
+
+@given(_configs())
+@settings(max_examples=60)
+def test_serialize_parse_round_trip(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg"
+        path.write_text(harness.serialize_config(cfg))
+        assert harness.parse_config(path) == cfg
+
+
+def test_plan_rejects_empty_lists(tmp_path):
+    for key in ("algo", "antennas"):
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key}=\n")
+        with pytest.raises(ConfigurationError, match=key):
+            harness.parse_config(path)
+    with pytest.raises(ConfigurationError, match="antennas"):
+        harness.run_plan(_tiny_cfg(tmp_path, antenna_counts=()))
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_horizon_is_checked_on_direct_construction(tmp_path):
+    with pytest.raises(ConfigurationError, match="horizon"):
+        harness.EnvSettings(horizon=0)
+    path = tmp_path / "cfg"
+    path.write_text("horizon=0\n")
+    with pytest.raises(ConfigurationError, match="horizon"):
+        harness.parse_config(path)
+
+
+# -- output formats ----------------------------------------------------------------
+
+def _csv_rows(path, numeric):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        row["m_antennas"], row["seed"] = int(row["m_antennas"]), int(row["seed"])
+        for name in numeric:
+            value = float(row[name])
+            row[name] = None if math.isnan(value) else value
+    return rows
+
+
+def test_json_outputs_hold_the_csv_rows(tmp_path):
+    outputs = {}
+    for out_format in ("csv", "json"):
+        cfg = _tiny_cfg(tmp_path / out_format, algorithms=("fpa", "qlearning"),
+                        antenna_counts=(1, 4), seeds=(0, 1), out_format=out_format)
+        harness.run_plan(cfg)
+        outputs[out_format] = Path(cfg.plan.output_dir)
+    csv_out, json_out = outputs["csv"], outputs["json"]
+    summary = json.loads((json_out / "summary.json").read_text())
+    assert summary == _csv_rows(csv_out / "summary.csv", ["value"])
+    # episodes < 20 leave the convergence episode unset: NaN in CSV, null in JSON
+    assert any(row["value"] is None for row in summary)
+    ccdf_rows = json.loads((json_out / "ccdf.json").read_text())
+    numeric = ["threshold_db", "probability"]
+    assert ccdf_rows == (_csv_rows(csv_out / "ccdf.csv", numeric)
+                         + _csv_rows(csv_out / "ccdf_pooled.csv", numeric))
+    assert {row["seed"] for row in ccdf_rows} == {0, 1, -1}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellbeam import metrics
 from cellbeam.errors import ContractViolation
@@ -29,6 +31,18 @@ def test_ccdf_monotone_nonincreasing():
         assert all(0.0 <= p <= 1.0 for p in probs)
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
+
+
+# half-dB steps make samples tie with each other and with thresholds
+_HALF_DB = st.integers(-80, 80).map(lambda k: k / 2.0)
+
+
+@given(st.lists(_HALF_DB | st.floats(-50.0, 50.0), min_size=1, max_size=300),
+       st.lists(_HALF_DB, min_size=1, max_size=40))
+def test_ccdf_equals_a_per_threshold_count(samples, grid):
+    values = np.array(samples)
+    reference = [(float(x), float(np.mean(values > x))) for x in np.array(grid)]
+    assert metrics.ccdf(values, grid) == reference
 
 def test_ccdf_accepts_sample_set_and_rejects_empty():
     sset = metrics.SinrSampleSet(samples=np.array([1.0]), algorithm="fpa")

@@ -235,6 +235,25 @@ def test_save_load_roundtrip(tmp_path):
     assert np.array_equal(net.forward(x), loaded.forward(x))
 
 
+
+def test_load_draws_no_initialisation(tmp_path, monkeypatch):
+    net = nn.Mlp([4, 6, 3], output_low=-np.ones(3), output_high=np.ones(3), rng=27)
+    linear = nn.Mlp([2, 5, 1], rng=28)
+    net.save(tmp_path / "bounded.npz")
+    linear.save(tmp_path / "linear.npz")
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load drew a random initialisation")
+
+    monkeypatch.setattr(nn.np.random, "default_rng", no_draw)
+    for original, name in ((net, "bounded.npz"), (linear, "linear.npz")):
+        loaded = nn.Mlp.load(tmp_path / name)
+        assert loaded.widths == original.widths
+        assert np.array_equal(loaded.params, original.params)
+        x = np.linspace(-1.0, 1.0, original.widths[0])
+        assert np.array_equal(loaded.forward(x), original.forward(x))
+    assert nn.Mlp.load(tmp_path / "linear.npz").output_low is None
+
 # -- flat parameter layout ------------------------------------------------------
 
 def _reference_adam_step(params, moments, grads, t, lr, weight_decay,
