@@ -69,12 +69,11 @@ def validate_policy(agent: AnchoredAgent, env, seeds,
     agent.trusted = False
     if agent.updates == 0:
         return None
-    baseline = FpaAgent(env)
-    fpa_rates = np.array([baseline.run_episode(env, seed, train=False).sum_rate(env.horizon)
-                          for seed in seeds])
+    fpa_rates = np.array([log.sum_rate(env.horizon)
+                          for log in FpaAgent(env).run_episodes(env, seeds)])
     agent.trusted = True
-    gains = np.array([agent.run_episode(env, seed, train=False).sum_rate(env.horizon)
-                      for seed in seeds]) - fpa_rates
+    gains = np.array([log.sum_rate(env.horizon)
+                      for log in agent.run_episodes(env, seeds)]) - fpa_rates
     mean = float(gains.mean())
     stderr = float(gains.std(ddof=1) / math.sqrt(len(gains)))
     agent.trusted = mean > z * stderr

@@ -10,6 +10,11 @@ from ..beamcode import step_beam
 from ..errors import ConfigurationError, ContractViolation
 from ..metrics import sum_rate
 
+# Bytes that a lockstep block may hold in its episodes' steering tensors
+# and frame logs: 14 episodes at M=64 (15 paths, horizon 50), a whole
+# 50-episode set at M <= 16 and horizon 20.
+BLOCK_BYTES = 1 << 20
+
 
 @dataclass
 class Transition:
@@ -23,9 +28,12 @@ class Transition:
 class ReplayBuffer:
     """Ring buffer of transitions with uniform minibatch sampling.
 
-    Each Transition field is stored as one float64 array of `capacity`
-    rows, shaped by the first push; later pushes must match those shapes.
+    Each Transition field is stored as one float64 array, shaped by the
+    first push; later pushes must match those shapes.  The arrays start
+    at MIN_ROWS rows and double whenever they fill, up to `capacity`.
     """
+
+    MIN_ROWS = 32
 
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
@@ -49,7 +57,12 @@ class ReplayBuffer:
         fields = (transition.state, transition.action, transition.reward,
                   transition.next_state, transition.terminated)
         if not self._arrays:
-            self._arrays = [np.empty((self.capacity,) + np.shape(f)) for f in fields]
+            self._arrays = [np.empty((min(self.MIN_ROWS, self.capacity),) + np.shape(f))
+                            for f in fields]
+        elif self._pushes == len(self._arrays[0]) < self.capacity:
+            # the ring has not wrapped, so slot i holds push i; rows past it are unread
+            rows = min(2 * self._pushes, self.capacity)
+            self._arrays = [np.resize(a, (rows,) + a.shape[1:]) for a in self._arrays]
         for array, value in zip(self._arrays, fields):
             if np.shape(value) != array.shape[1:]:
                 raise ContractViolation("transition shapes differ from the first push")
@@ -215,6 +228,62 @@ class EpisodeLog:
         return sum_rate(10.0 ** (self.eff_sinr_db / 10.0), horizon=horizon)
 
 
+# per-frame fields of an EpisodeLog: (trailing shape, dtype); states hold one frame more
+_FRAME_FIELDS = {"states": ((8,), float), "actions": ((4,), float), "rewards": ((), float),
+                 "losses": ((), float), "eff_sinr_db": ((2,), float),
+                 "powers_dbm": ((2,), float), "norm_power": ((), float),
+                 "beam_indices": ((2,), int)}
+
+
+def block_size(env) -> int:
+    """Episodes per lockstep block: as many as BLOCK_BYTES of their largest arrays allow."""
+    steering = 4 * env.scenario.n_paths * env.m_antennas * np.dtype(complex).itemsize
+    frame = sum(8 * int(np.prod(shape)) for shape, _ in _FRAME_FIELDS.values())
+    return max(1, BLOCK_BYTES // (steering + (env.horizon + 1) * frame))
+
+
+class _Frames:
+    """Per-episode arrays of a rollout, filled one frame at a time.
+
+    Rows are the running episodes, all at frame ``t``.  An episode's log is
+    cut out of its row as soon as it ends, and the row leaves the arrays.
+    """
+
+    def __init__(self, env, seeds, states: np.ndarray):
+        self.max_power_w, self.t = env.scenario.max_bs_power_w, 0
+        self.seeds, self.ids = list(seeds), np.arange(len(states))
+        self.arrays = {name: np.empty((len(states), env.horizon + 1) + shape, dtype)
+                       for name, (shape, dtype) in _FRAME_FIELDS.items()}
+        self.arrays["states"][:, 0] = states
+        self.logs = [None] * len(states)
+
+    def record(self, outcome, actions, loss=None) -> np.ndarray:
+        """Store every running episode's next frame; returns which of them ended."""
+        info, t = outcome.info, self.t
+        self.arrays["states"][:, t + 1] = outcome.next_state
+        # the mean power as sum / count, like np.mean; min() guards the dBm->W round
+        # trip landing a few ulp above the cap
+        watts = info["powers_w"]
+        norm_power = np.minimum(1.0, watts.sum(axis=-1) / watts.shape[-1] / self.max_power_w)
+        for name, value in (("actions", actions), ("rewards", outcome.reward),
+                            ("losses", np.nan if loss is None else loss),
+                            ("eff_sinr_db", info["eff_sinr_db"]),
+                            ("powers_dbm", info["powers_dbm"]), ("norm_power", norm_power),
+                            ("beam_indices", info["beam_indices"])):
+            self.arrays[name][:, t] = value
+        self.t = t = t + 1
+        aborted, ended = np.reshape(outcome.terminated, -1), np.reshape(outcome.done, -1)
+        if ended.any():
+            for row in np.flatnonzero(ended):
+                self.logs[self.ids[row]] = EpisodeLog(
+                    seed=self.seeds[self.ids[row]], aborted=bool(aborted[row]),
+                    **{name: array[row, :t + (name == "states")].copy()
+                       for name, array in self.arrays.items()})
+            self.ids = self.ids[~ended]
+            self.arrays = {name: array[~ended] for name, array in self.arrays.items()}
+        return ended
+
+
 class BaseAgent:
     """Common train/act interface; subclasses fill in the four hooks."""
 
@@ -225,6 +294,7 @@ class BaseAgent:
         pass
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
+        """The action for a state; a greedy FPA act also takes a (B, 8) block."""
         raise NotImplementedError
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
@@ -246,35 +316,46 @@ class BaseAgent:
         """Roll one episode, training after every step when train=True."""
         state = env.reset(seed, topology_seed)
         self.begin_episode(state)
-        states = [state]
-        actions, rewards, losses = [], [], []
-        eff, powers, normp, beams = [], [], [], []
-        aborted = False
-        done = False
-        while not done:
+        frames = _Frames(env, [seed], state[None])
+        while frames.ids.size:
             action = self.act(state, explore=train)
             outcome = env.step(action)
             loss = self.observe(state, action, outcome.reward, outcome.next_state,
                                 outcome.terminated, outcome.truncated) if train else None
-            states.append(outcome.next_state)
-            actions.append(np.asarray(action, dtype=float))
-            rewards.append(outcome.reward)
-            losses.append(float("nan") if loss is None else float(loss))
-            eff.append(outcome.info["eff_sinr_db"])
-            powers.append(outcome.info["powers_dbm"])
-            # min() guards the dBm->W round trip landing a few ulp above the cap
-            normp.append(min(1.0, float(np.mean(outcome.info["powers_w"])
-                                        / env.scenario.max_bs_power_w)))
-            beams.append(outcome.info["beam_indices"])
-            aborted = outcome.info["aborted"]
+            frames.record(outcome, action, loss)
             state = outcome.next_state
-            done = outcome.done
         self.end_episode(train)
-        return EpisodeLog(seed=seed, states=np.stack(states), actions=np.stack(actions),
-                          rewards=np.array(rewards), losses=np.array(losses),
-                          eff_sinr_db=np.stack(eff), powers_dbm=np.stack(powers),
-                          norm_power=np.array(normp), beam_indices=np.stack(beams),
-                          aborted=aborted)
+        return frames.logs[0]
+
+    def run_episodes(self, env, seeds, topology_seeds=None) -> list[EpisodeLog]:
+        """Roll greedy, non-training episodes in lockstep blocks.
+
+        Each log equals that of ``run_episode(env, seed, False, topology_seed)``
+        bit for bit; the episode hooks are not called, as a greedy act reads
+        nothing they set up.  FPA, or a learner anchored at it, acts on a
+        whole block in one call; a learned policy acts row by row, because a
+        batched network forward rounds differently from a one-state one.
+        """
+        def act(states):
+            if self.greedy_policy == "fpa":
+                return self.act(states, explore=False)
+            return np.stack([self.act(state, explore=False) for state in states])
+        seeds = list(seeds)
+        drops = [None] * len(seeds) if topology_seeds is None else list(topology_seeds)
+        size = block_size(env)
+        logs = []
+        for i in range(0, len(seeds), size):
+            states = env.start(seeds[i:i + size], drops[i:i + size])
+            frames = _Frames(env, seeds[i:i + size], states)
+            while frames.ids.size:
+                actions = act(states)
+                outcome = env.advance(actions)
+                ended = frames.record(outcome, actions)
+                states = outcome.next_state[~ended]
+                if ended.any():
+                    env.keep(np.flatnonzero(~ended))
+            logs += frames.logs
+        return logs
 
 
 class StateNormalizer:

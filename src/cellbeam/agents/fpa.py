@@ -37,4 +37,6 @@ class FpaAgent(BaseAgent):
                                        env.scenario.max_bs_power_dbm))
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        return np.array([self.power_dbm, self.power_dbm, state[6], state[7]])
+        """The fixed powers and the current beams, for one state or a (B, 8) block."""
+        return np.concatenate([np.full(np.shape(state)[:-1] + (2,), self.power_dbm),
+                               np.asarray(state)[..., 6:]], axis=-1)

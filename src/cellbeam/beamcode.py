@@ -30,8 +30,11 @@ def steering_matrix(thetas, m_antennas: int,
         raise ConfigurationError("m_antennas must be >= 1")
     kd = 2.0 * math.pi * spacing_in_wavelengths
     m_idx = np.arange(m_antennas)
-    phase = kd * np.cos(np.asarray(thetas, dtype=float))[..., None] * m_idx
-    return np.exp(1j * phase) / math.sqrt(m_antennas)
+    # in place, as a lockstep block's tensors are large
+    vectors = np.multiply(1j, kd * np.cos(np.asarray(thetas, dtype=float))[..., None] * m_idx)
+    np.exp(vectors, out=vectors)
+    vectors /= math.sqrt(m_antennas)
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -69,13 +72,13 @@ def step_beam(index: int, direction: int, codebook_size: int) -> int:
     return (index + direction) % codebook_size
 
 
-def beam_from_continuous(raw: float, codebook_size: int) -> int:
-    """Map a continuous control value onto a beam index by flooring.
+def beam_from_continuous(raw, codebook_size: int):
+    """Map continuous control values onto beam indices by flooring.
 
     Values are clamped into [0, codebook_size - 1] after the floor, so any
-    finite input yields a valid index.
+    finite input yields a valid index; arrays map entry by entry.
     """
-    raw = float(raw)
-    if not math.isfinite(raw):
+    raw = np.asarray(raw, dtype=float)
+    if not np.isfinite(raw).all():
         raise ContractViolation("beam control value must be finite")
-    return int(min(max(math.floor(raw), 0), codebook_size - 1))
+    return np.minimum(np.maximum(np.floor(raw), 0), codebook_size - 1).astype(int)

@@ -11,7 +11,7 @@ exact same trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,18 +112,21 @@ def preset(name: str, **overrides) -> Scenario:
 
 @dataclass
 class Topology:
-    """BS/UE geometry plus the fixed UE -> serving BS assignment."""
+    """BS/UE geometry plus the fixed UE -> serving BS assignment.
+
+    UE arrays may lead with an episode axis (``...``): row b is episode b.
+    """
 
     bs_positions: np.ndarray        # (L, 2) metres
-    ue_positions: np.ndarray        # (U, 2) metres
+    ue_positions: np.ndarray        # (..., U, 2) metres
     serving_map: np.ndarray         # (U,) BS index per UE
-    ue_headings: np.ndarray         # (U,) radians, mobility direction
+    ue_headings: np.ndarray         # (..., U) radians, mobility direction
     num_bs: int
     ues_per_bs: int
 
     @property
     def num_ues(self) -> int:
-        return self.ue_positions.shape[0]
+        return self.serving_map.shape[0]
 
     def serving_distance_m(self, ue: int) -> float:
         bs = self.bs_positions[self.serving_map[ue]]
@@ -182,29 +185,38 @@ def init_topology(scenario: Scenario, num_bs: int, ues_per_bs: int, seed) -> Top
                     ue_headings=headings, num_bs=num_bs, ues_per_bs=ues_per_bs)
 
 
-def step_mobility(topology: Topology, scenario: Scenario, rng: np.random.Generator) -> Topology:
+def _per_stream(rng, draw):
+    """``draw(rng)``, or for an array of per-episode generators each one's draw stacked."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.stack([draw(g) for g in rng])
+
+
+def step_mobility(topology: Topology, scenario: Scenario, rng) -> Topology:
     """Advance each UE one frame along a randomly turning heading.
 
     Per step a UE turns by a uniform angle in [-MAX_TURN_RAD, MAX_TURN_RAD]
     and moves speed * frame_duration metres.  A UE crossing its serving
     disc boundary is folded back inside and its heading mirrored on the
-    boundary tangent, so no UE ever leaves its disc.
+    boundary tangent, so no UE ever leaves its disc.  With an episode axis,
+    ``rng`` holds one generator per episode.
     """
     step_len = scenario.ue_speed_mps * scenario.frame_duration_s
-    turns = rng.uniform(-MAX_TURN_RAD, MAX_TURN_RAD, topology.num_ues)
+    turns = _per_stream(rng, lambda g: g.uniform(-MAX_TURN_RAD, MAX_TURN_RAD,
+                                                  topology.num_ues))
     headings = np.mod(topology.ue_headings + turns, 2.0 * math.pi)
-    direction = np.empty((topology.num_ues, 2))
-    direction[:, 0] = np.cos(headings)
-    direction[:, 1] = np.sin(headings)
+    direction = np.empty(headings.shape + (2,))
+    direction[..., 0], direction[..., 1] = np.cos(headings), np.sin(headings)
     pos = topology.ue_positions + step_len * direction
 
     disc_radius = scenario.cell_radius_m / 2.0
     centers = topology.bs_positions[topology.serving_map]
     rel = pos - centers
-    dist = np.sqrt((rel * rel).sum(axis=1))
+    dist = np.sqrt((rel * rel).sum(axis=-1))
     outside = dist > disc_radius
     if outside.any():
-        unit = rel[outside] / dist[outside, None]
+        centers = np.broadcast_to(centers, pos.shape)
+        unit = rel[outside] / dist[outside][:, None]
         folded = np.clip(2.0 * disc_radius - dist[outside], 0.0, disc_radius)
         pos[outside] = centers[outside] + unit * folded[:, None]
         # mirror the velocity on the tangent: v' = v - 2 (v.u) u
@@ -212,9 +224,8 @@ def step_mobility(topology: Topology, scenario: Scenario, rng: np.random.Generat
         vel -= 2.0 * np.sum(vel * unit, axis=1, keepdims=True) * unit
         headings[outside] = np.mod(np.arctan2(vel[:, 1], vel[:, 0]), 2.0 * math.pi)
 
-    return Topology(bs_positions=topology.bs_positions, ue_positions=pos,
-                    serving_map=topology.serving_map, ue_headings=headings,
-                    num_bs=topology.num_bs, ues_per_bs=topology.ues_per_bs)
+    return Topology(topology.bs_positions, pos, topology.serving_map, headings,
+                    topology.num_bs, topology.ues_per_bs)
 
 
 def pathloss_db(distance_m, carrier_freq_hz: float, p_los: float = 1.0) -> np.ndarray:
@@ -254,28 +265,35 @@ class ChannelState:
     `vectors` holds the composite channel h for each link, (L, U, M)
     complex.  Path angles and the LOS flag are drawn once per episode;
     the complex path gains evolve as an AR(1) process between frames.
-    Because the angles stay fixed, the steering vectors built from them
-    are kept in `steering` for the (M, spacing) pair in `steering_key`
-    and rebuilt only when a call asks for another pair.
+    Because the angles stay fixed, the steering vectors built from them at
+    the first draw are kept in `steering`, so a state stays bound to the
+    array of its first draw.  With an array of generators in `rng`, one
+    per episode, every array carries that leading episode axis.
     """
 
-    rng: np.random.Generator
-    time_step: int = -1
-    vectors: np.ndarray | None = None       # (L, U, M) complex
-    path_angles: np.ndarray | None = None   # (L, U, P) radians
-    path_gains: np.ndarray | None = None    # (L, U, P) complex
-    los: np.ndarray | None = None           # (L, U) bool
+    rng: np.random.Generator | np.ndarray   # or one generator per episode
+    vectors: np.ndarray | None = None       # (..., L, U, M) complex
+    path_angles: np.ndarray | None = None   # (..., L, U, P) radians
+    path_gains: np.ndarray | None = None    # (..., L, U, P) complex
+    los: np.ndarray | None = None           # (..., L, U) bool
     rho: float = field(default=0.0)
-    steering: np.ndarray | None = field(default=None, repr=False)  # (L, U, P, M) complex
-    steering_key: tuple | None = None       # (M, spacing) that `steering` was built for
+    steering: np.ndarray | None = field(default=None, repr=False)  # (..., L, U, P, M) complex
+
+    def take(self, rows) -> ChannelState:
+        """The episodes at ``rows`` of a state with an episode axis."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)
+                                if isinstance(getattr(self, f.name), np.ndarray)})
 
 
 def new_channel_state(seed) -> ChannelState:
     return ChannelState(rng=np.random.default_rng(seed))
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(2.0)
+def _complex_normal(rng, shape) -> np.ndarray:
+    """Unit-power circular Gaussians; each generator draws all real parts, then all imaginary."""
+    parts = (rng.standard_normal((2,) + shape) if isinstance(rng, np.random.Generator)
+             else np.stack([g.standard_normal((2,) + shape) for g in rng], axis=1))
+    return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
 
 
 def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int,
@@ -289,39 +307,37 @@ def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int,
     with a(.) the unit-norm steering vector, theta_p fixed within the
     episode, and alpha_p AR(1) complex Gaussian except that a LOS link's
     first path stays pinned at 1.  The first call on a fresh state draws
-    angles, LOS flags and stationary gains.
+    angles, LOS flags and stationary gains, and builds the steering
+    vectors; each episode draws from its own generator in that order.
     """
     if m_antennas < 1:
         raise ConfigurationError("m_antennas must be >= 1")
     num_bs, num_ues, n_paths = topology.num_bs, topology.num_ues, scenario.n_paths
-    rng = state.rng
+    shape = (num_bs, num_ues, n_paths)
 
     if state.path_gains is None:
-        state.path_angles = rng.uniform(0.0, math.pi, (num_bs, num_ues, n_paths))
-        state.steering_key = None
-        state.los = rng.random((num_bs, num_ues)) < scenario.p_los
-        state.path_gains = _complex_normal(rng, (num_bs, num_ues, n_paths))
+        state.path_angles = _per_stream(state.rng, lambda g: g.uniform(0.0, math.pi, shape))
+        state.los = _per_stream(state.rng, lambda g: g.random(shape[:2]) < scenario.p_los)
+        state.path_gains = _complex_normal(state.rng, shape)
         state.path_gains[state.los, 0] = 1.0 + 0.0j
         state.rho = doppler_correlation(scenario)
+        state.steering = steering_matrix(state.path_angles, m_antennas, spacing_in_wavelengths)
     else:
-        innovation = _complex_normal(rng, state.path_gains.shape)
+        if state.steering.shape[-1] != m_antennas:
+            raise ContractViolation("a channel state keeps the antenna count of its first draw")
+        innovation = _complex_normal(state.rng, shape)
         rho = state.rho
         state.path_gains = rho * state.path_gains + math.sqrt(1.0 - rho * rho) * innovation
         state.path_gains[state.los, 0] = 1.0 + 0.0j
 
-    key = (m_antennas, spacing_in_wavelengths)
-    if state.steering_key != key:
-        state.steering = steering_matrix(state.path_angles, m_antennas, spacing_in_wavelengths)
-        state.steering_key = key
-    offsets = topology.bs_positions[:, None, :] - topology.ue_positions[None, :, :]
-    dists = np.sqrt((offsets * offsets).sum(axis=2))
+    offsets = topology.bs_positions[:, None, :] - topology.ue_positions[..., None, :, :]
+    dists = np.sqrt((offsets * offsets).sum(axis=-1))
     pl_lin = db_to_linear(-pathloss_db(dists, scenario.carrier_freq_hz, scenario.p_los))
     gain_lin = db_to_linear(scenario.tx_antenna_gain_dbi)
     amplitude = np.sqrt(pl_lin * gain_lin / n_paths)
 
     state.vectors = amplitude[..., None] * np.einsum(
-        "lupm,lup->lum", state.steering, state.path_gains)
-    state.time_step += 1
+        "...lupm,...lup->...lum", state.steering, state.path_gains)
     return state
 
 
@@ -331,22 +347,23 @@ def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarr
 
     SINR_u = P_serv |h_serv^T f_serv|^2 /
              (sum_{b != serv} P_b |h_b^T f_b|^2 + noise)
+
+    Powers (..., L) and beams (..., L, M) carry the state's episode axes.
     """
+    if state.vectors is None:
+        raise ContractViolation("draw_channels must run before compute_sinr")
     powers_w = np.asarray(powers_w, dtype=float)
-    if powers_w.shape != (topology.num_bs,):
+    if powers_w.shape != state.vectors.shape[:-2]:
         raise ContractViolation("one transmit power per base station is required")
     if (powers_w < 0.0).any():
         raise ContractViolation("transmit powers must be non-negative")
     if (powers_w > scenario.max_bs_power_w * (1.0 + 1e-12)).any():
         raise ContractViolation("transmit powers must not exceed max_bs_power_w")
-    if state.vectors is None:
-        raise ContractViolation("draw_channels must run before compute_sinr")
 
     beam_vectors = np.asarray(beam_vectors)
     # plain transpose product: the receive model uses h^T f
-    rx = powers_w[:, None] * np.abs(
-        np.einsum("lum,lm->lu", state.vectors, beam_vectors)) ** 2
-    ue_idx = np.arange(topology.num_ues)
-    signal = rx[topology.serving_map, ue_idx]
-    interference = rx.sum(axis=0) - signal
+    rx = powers_w[..., None] * np.abs(
+        np.einsum("...lum,...lm->...lu", state.vectors, beam_vectors)) ** 2
+    signal = rx[..., topology.serving_map, np.arange(topology.num_ues)]
+    interference = rx.sum(axis=-2) - signal
     return signal / (interference + scenario.noise_power_w)

@@ -15,7 +15,7 @@ Reinforcement Learning").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class SinrPolicy:
 
 @dataclass
 class StepOutcome:
+    """One frame's result; on a block of episodes each field leads with the episode axis."""
+
     next_state: np.ndarray
     reward: float
     terminated: bool    # SINR abort: a true end, the value of next_state is zero
@@ -58,7 +60,7 @@ class StepOutcome:
 
     @property
     def done(self) -> bool:
-        return self.terminated or self.truncated
+        return self.terminated | self.truncated
 
 
 def hierarchical_reward(step_reward: float, goal, action, weight: float = 1.0) -> float:
@@ -75,7 +77,10 @@ class DownlinkEnv:
 
     One UE per BS; BS 0 plays the serving role and BS 1 the interfering
     role of the 8-feature observation (the reward covers both UEs, so
-    the labelling is symmetric).
+    the labelling is symmetric).  ``start``/``advance`` play a block of
+    episodes in lockstep: row b of the world state is episode b, drawing
+    from its own streams exactly as it would alone.  ``reset``/``step``
+    play one episode as a block of one.
     """
 
     def __init__(self, scenario: chan.Scenario, m_antennas: int = 1, horizon: int = 50,
@@ -98,13 +103,7 @@ class DownlinkEnv:
         self.bf_limit = bf_limit_multiplier * self.m_antennas - 1.0
         if self.power_floor_dbm > scenario.max_bs_power_dbm:
             raise ConfigurationError("power floor exceeds the maximum transmit power")
-
-        self.topology = None
-        self.channel_state = None
-        self._mobility_rng = None
-        self._powers_dbm = None
-        self._beams = None
-        self._t = 0
+        self.topology = self.channel_state = None
         self._done = True
 
     # -- action/state ranges ------------------------------------------------
@@ -140,80 +139,112 @@ class DownlinkEnv:
 
     # -- episode API ---------------------------------------------------------
 
+    def start(self, seeds, topology_seeds=None) -> np.ndarray:
+        """Start one episode per seed as a lockstep block; returns the (B, 8) states.
+
+        Episode b draws what ``reset(seeds[b], topology_seeds[b])`` would, in
+        the same order, from its own streams.
+        """
+        drops, mobility, fading = zip(*map(self._streams, seeds,
+                                           topology_seeds or [None] * len(seeds)))
+        topology = replace(drops[0], ue_positions=np.stack([d.ue_positions for d in drops]),
+                           ue_headings=np.stack([d.ue_headings for d in drops]))
+        self._done = True   # step() plays only an episode that reset() opened
+        return self._begin(topology, np.array(mobility), np.array(fading))
+
+    def keep(self, rows) -> None:
+        """Drop every episode of the block but those at ``rows``; they stop drawing."""
+        self.topology = replace(self.topology, ue_positions=self.topology.ue_positions[rows],
+                                ue_headings=self.topology.ue_headings[rows])
+        self.channel_state = self.channel_state.take(rows)
+        self._mobility = self._mobility[rows]
+        self._powers_dbm, self._beams = self._powers_dbm[rows], self._beams[rows]
+
     def reset(self, seed: int, topology_seed: int | None = None) -> np.ndarray:
         """Start a fresh episode: new geometry, fading state and controls.
 
         ``topology_seed`` takes the initial UE drop from another seed's
         stream (``reset(s, topology_seed=t)`` starts from the same UE
         positions and headings as ``reset(t)``) while mobility and fading
-        still come from ``seed``.
+        still come from ``seed``.  The episode's arrays have no episode axis.
         """
+        self._done = False
+        return self._begin(*self._streams(seed, topology_seed))
+
+    def _streams(self, seed, topology_seed):
+        """One episode's UE drop and its mobility and fading generators."""
         topo_ss, mob_ss, chan_ss = np.random.SeedSequence(seed).spawn(3)
         if topology_seed is not None:
             topo_ss = np.random.SeedSequence(topology_seed).spawn(1)[0]
-        self.topology = chan.init_topology(self.scenario, 2, 1, topo_ss)
-        self._mobility_rng = np.random.default_rng(mob_ss)
-        self.channel_state = chan.new_channel_state(chan_ss)
+        return (chan.init_topology(self.scenario, 2, 1, topo_ss),
+                np.random.default_rng(mob_ss), np.random.default_rng(chan_ss))
+
+    def _begin(self, topology, mobility, fading) -> np.ndarray:
+        """Draw frame 0; ``fading`` is one generator, or an array of one per episode."""
+        self.topology, self._mobility = topology, mobility
+        self.channel_state = chan.ChannelState(rng=fading)
         chan.draw_channels(self.topology, self.scenario, self.m_antennas,
                            self.channel_state, self.codebook.spacing_in_wavelengths)
         # start both BSs 3 dB below the power cap, beams at index 0
-        self._powers_dbm = np.full(2, self.scenario.max_bs_power_dbm - 3.0)
-        self._beams = np.zeros(2, dtype=int)
+        self._powers_dbm = np.full(np.shape(fading) + (2,), self.scenario.max_bs_power_dbm - 3.0)
+        self._beams = np.zeros(np.shape(fading) + (2,), dtype=int)
         self._t = 0
-        self._done = False
         return self._observe()
 
     def apply_action(self, action) -> tuple[np.ndarray, np.ndarray]:
-        """Clamp an action onto applied powers (dBm) and beam indices."""
+        """Clamp actions (..., 4) onto applied powers (dBm) and beam indices."""
         a = np.asarray(action, dtype=float)
-        if a.shape != (ACTION_SIZE,):
+        if a.shape[-1:] != (ACTION_SIZE,):
             raise ContractViolation(f"action must have {ACTION_SIZE} entries")
         if not np.isfinite(a).all():
             raise ContractViolation("action entries must be finite")
-        powers = np.clip(a[:2], self.power_floor_dbm, self.scenario.max_bs_power_dbm)
-        beams = np.array([beam_from_continuous(a[2], self.codebook.size),
-                          beam_from_continuous(a[3], self.codebook.size)], dtype=int)
-        return powers, beams
+        powers = np.minimum(np.maximum(a[..., :2], self.power_floor_dbm),
+                            self.scenario.max_bs_power_dbm)
+        return powers, beam_from_continuous(a[..., 2:], self.codebook.size)
+
+    def advance(self, actions) -> StepOutcome:
+        """Apply one action per episode, advance them one frame and score it.
+
+        On a block, every outcome field and ``info`` entry has the episode
+        axis first.
+        """
+        self._powers_dbm, self._beams = self.apply_action(actions)
+        self.topology = chan.step_mobility(self.topology, self.scenario, self._mobility)
+        chan.draw_channels(self.topology, self.scenario, self.m_antennas,
+                           self.channel_state, self.codebook.spacing_in_wavelengths)
+
+        # scalar ``**`` per entry: numpy's vectorised power rounds some inputs differently
+        powers_w = np.array([chan.dbm_to_watts(p) for p in self._powers_dbm.flat]
+                            ).reshape(self._powers_dbm.shape)
+        sinr_lin = chan.compute_sinr(self.channel_state, self.topology,
+                                     self.codebook.vectors[self._beams], powers_w, self.scenario)
+        with np.errstate(divide="ignore"):
+            raw_db = np.where(sinr_lin > 0.0, 10.0 * np.log10(
+                np.where(sinr_lin > 0.0, sinr_lin, 1.0)), -np.inf)
+        eff_db = self.policy.effective_db(raw_db)
+
+        self._t += 1
+        aborted = (raw_db < self.policy.gamma_cutoff_db).any(axis=-1)
+        info = dict(sinr_linear=sinr_lin, sinr_db=raw_db, eff_sinr_db=eff_db,
+                    powers_dbm=self._powers_dbm, powers_w=powers_w,
+                    beam_indices=self._beams, aborted=aborted, step=self._t)
+        return StepOutcome(next_state=self._observe(), reward=eff_db.sum(axis=-1),
+                           terminated=aborted, truncated=~aborted & (self._t >= self.horizon),
+                           info=info)
 
     def step(self, action) -> StepOutcome:
         """Apply controls, advance the world one frame and score it."""
         if self._done:
             raise UsageError("step() called on a finished episode; call reset() first")
-        self._powers_dbm, self._beams = self.apply_action(action)
-
-        self.topology = chan.step_mobility(self.topology, self.scenario, self._mobility_rng)
-        chan.draw_channels(self.topology, self.scenario, self.m_antennas,
-                           self.channel_state, self.codebook.spacing_in_wavelengths)
-
-        powers_w = np.array([chan.dbm_to_watts(p) for p in self._powers_dbm])
-        beam_vectors = self.codebook.vectors[self._beams]
-        sinr_lin = chan.compute_sinr(self.channel_state, self.topology, beam_vectors,
-                                     powers_w, self.scenario)
-        with np.errstate(divide="ignore"):
-            raw_db = np.where(sinr_lin > 0.0, 10.0 * np.log10(
-                np.where(sinr_lin > 0.0, sinr_lin, 1.0)), -np.inf)
-        eff_db = self.policy.effective_db(raw_db)
-        reward = float(eff_db.sum())
-
-        self._t += 1
-        aborted = bool((raw_db < self.policy.gamma_cutoff_db).any())
-        truncated = not aborted and self._t >= self.horizon
-        self._done = aborted or truncated
-        info = {
-            "sinr_linear": sinr_lin,
-            "sinr_db": raw_db,
-            "eff_sinr_db": eff_db,
-            "powers_dbm": self._powers_dbm.copy(),
-            "powers_w": powers_w,
-            "beam_indices": self._beams.copy(),
-            "aborted": aborted,
-            "step": self._t,
-        }
-        return StepOutcome(next_state=self._observe(), reward=reward,
-                           terminated=aborted, truncated=truncated, info=info)
+        if np.shape(action) != (ACTION_SIZE,):
+            raise ContractViolation(f"action must have {ACTION_SIZE} entries")
+        out = self.advance(action)
+        out.info["aborted"] = out.terminated = bool(out.terminated)
+        out.truncated, out.reward = bool(out.truncated), float(out.reward)
+        self._done = out.done
+        return out
 
     def _observe(self) -> np.ndarray:
         ue = self.topology.ue_positions
-        return np.array([ue[0, 0], ue[0, 1], ue[1, 0], ue[1, 1],
-                         self._powers_dbm[0], self._powers_dbm[1],
-                         float(self._beams[0]), float(self._beams[1])])
+        return np.concatenate([ue.reshape(ue.shape[:-2] + (4,)), self._powers_dbm, self._beams],
+                              axis=-1)

@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import metrics
-from .agents import ALGORITHMS, AgentHyperparams, AnchoredAgent, make_agent, validate_policy
+from .agents import (ALGORITHMS, AgentHyperparams, AnchoredAgent, FpaAgent, make_agent,
+                     validate_policy)
 from .agents.anchor import VALIDATION_EPISODES
 from .channel import SCENARIO_PRESETS, Scenario, preset
 from .environment import DownlinkEnv, SinrPolicy
@@ -73,6 +74,10 @@ class ExperimentPlan:
                     f"antenna count {m} not in the supported set {VALID_ANTENNA_COUNTS}")
         if not self.seeds:
             raise ConfigurationError("at least one seed is required")
+        for key, entries in (("algo", self.algorithms), ("antennas", self.antenna_counts),
+                             ("seeds", self.seeds)):
+            if len(set(entries)) < len(entries):
+                raise ConfigurationError(f"{key} lists an entry more than once: {entries}")
         if self.episodes < 1:
             raise ConfigurationError("episodes must be >= 1")
         if self.eval_episodes < 1:
@@ -209,6 +214,10 @@ def serialize_config(cfg: RunConfig) -> str:
             text = repr(value)
         else:
             text = str(value)
+        # parse_config strips each value and reads one line per key
+        if text != text.strip() or len(text.splitlines()) > 1:
+            raise ConfigurationError(
+                f"{key}={text!r} cannot be written: surrounding whitespace or a line break")
         lines.append(f"{key}={text}")
     return "\n".join(lines) + "\n"
 
@@ -261,16 +270,19 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int):
 
     # cycling repeats only the UE drops; mobility and fading stay fresh
     cycle = cfg.hyper.train_geometry_cycle
-    train_logs = [agent.run_episode(
-        env, train_env_seed(algo, m_antennas, seed, e), train=True,
-        topology_seed=train_env_seed(algo, m_antennas, seed, e % cycle) if cycle else None)
-        for e in range(cfg.plan.episodes)]
+    seeds = [train_env_seed(algo, m_antennas, seed, e) for e in range(cfg.plan.episodes)]
+    drops = [seeds[e % cycle] for e in range(len(seeds))] if cycle else [None] * len(seeds)
+    if isinstance(agent, FpaAgent):     # FPA never learns: its training is a greedy rollout
+        train_logs = agent.run_episodes(env, seeds, drops)
+    else:
+        train_logs = [agent.run_episode(env, s, train=True, topology_seed=d)
+                      for s, d in zip(seeds, drops)]
     validation = None
     if isinstance(agent, AnchoredAgent):
         validation = validate_policy(agent, env,
                                      validation_env_seeds(cfg, algo, m_antennas, seed))
-    eval_logs = [agent.run_episode(env, eval_env_seed(m_antennas, seed, e), train=False)
-                 for e in range(cfg.plan.eval_episodes)]
+    eval_logs = agent.run_episodes(
+        env, [eval_env_seed(m_antennas, seed, e) for e in range(cfg.plan.eval_episodes)])
 
     loss_series = [log.mean_loss for log in train_logs]
     convergence = None

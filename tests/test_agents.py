@@ -128,6 +128,26 @@ def test_array_replay_matches_list_reference_through_wraparound(discrete):
     assert [t.reward for t in buf.contents] == [t.reward for t in ref.items]
 
 
+@pytest.mark.parametrize("capacity", [1, 40, 100, 300])
+def test_replay_grows_with_its_use_and_keeps_the_reference_order(capacity):
+    data = np.random.default_rng(5)
+    buf = ReplayBuffer(capacity, np.random.default_rng(6))
+    ref = _ListReplay(capacity, np.random.default_rng(6))
+    for k in range(1, 2 * capacity + 50):
+        t = Transition(data.standard_normal(8), data.standard_normal(4),
+                       float(data.standard_normal()), data.standard_normal(8),
+                       bool(data.integers(2)))
+        buf.push(t)
+        ref.push(t)
+        rows = len(buf._arrays[0])
+        assert rows < max(2 * k, 64) and rows <= capacity
+        if len(buf) >= 3 and k % 7 == 0:
+            for got, want in zip(buf.sample(3), ref.sample(3)):
+                assert np.array_equal(got, want)
+    assert rows == capacity
+    assert [t.reward for t in buf.contents] == [t.reward for t in ref.items]
+
+
 def test_replay_rejects_a_transition_shaped_unlike_the_first():
     buf = ReplayBuffer(4, np.random.default_rng(0))
     buf.push(_dummy_transition(0))

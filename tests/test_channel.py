@@ -299,15 +299,16 @@ def test_cached_steering_matches_per_frame_rebuild(m, spacing, seed, frames):
         topo = chan.step_mobility(topo, sc, mobility)
 
 
-def test_reused_state_rebuilds_steering_for_new_antenna_count():
+def test_reused_state_keeps_the_array_of_its_first_draw():
     sc = chan.preset("sub6")
     topo = chan.init_topology(sc, 2, 1, seed=0)
     state = chan.new_channel_state(0)
-    for m, spacing in ((4, 0.5), (4, 0.5), (8, 0.5), (8, 1.0), (4, 0.5)):
-        chan.draw_channels(topo, sc, m, state, spacing)
-        assert state.vectors.shape == (2, 2, m)
-        assert state.steering.shape == (2, 2, sc.n_paths, m)
-        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, m, state, spacing))
+    for _ in range(3):
+        chan.draw_channels(topo, sc, 4, state)
+        assert state.steering.shape == (2, 2, sc.n_paths, 4)
+        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, 4, state, 0.5))
+    with pytest.raises(ContractViolation, match="antenna count"):
+        chan.draw_channels(topo, sc, 8, state)
 
 
 # -- compute_sinr properties ----------------------------------------------------

@@ -239,3 +239,22 @@ def test_apply_action_lands_in_range_for_any_finite_action(m, floor, action):
     powers, beams = env.apply_action(action)
     assert np.all(powers >= floor) and np.all(powers <= env.scenario.max_bs_power_dbm)
     assert np.all(beams >= 0) and np.all(beams < env.codebook.size)
+
+
+def test_block_frames_equal_one_episode_steps_and_step_refuses_a_block():
+    env = make_env(m_antennas=4, horizon=6,
+                   policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=4))
+    seeds, actions = [3, 8, 5], np.array([[40.0, 20.0, 1.2, 3.7], [10.0, 46.0, 0.0, 2.0],
+                                          [30.0, 30.0, 3.9, 0.5]])
+    states = env.start(seeds, [None, 3, None])
+    block = [env.advance(actions) for _ in range(3)]
+    with pytest.raises(UsageError):
+        env.step(actions[0])
+    for b, (seed, drop) in enumerate(zip(seeds, [None, 3, None])):
+        assert np.array_equal(env.reset(seed, topology_seed=drop), states[b])
+        for out in block:
+            one = env.step(actions[b])
+            assert np.array_equal(one.next_state, out.next_state[b])
+            assert one.reward == out.reward[b] and one.terminated == out.terminated[b]
+            for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_w", "beam_indices"):
+                assert np.array_equal(one.info[key], out.info[key][b]), key

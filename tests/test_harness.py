@@ -375,12 +375,13 @@ _UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude
 _FLOAT_TUPLES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                          min_size=1, max_size=4).map(tuple)
 _KEY_VALUES = {
-    "algo": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=5).map(tuple),
+    "algo": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=5,
+                     unique=True).map(tuple),
     "antennas": st.lists(st.sampled_from(harness.VALID_ANTENNA_COUNTS),
-                         min_size=1, max_size=6).map(tuple),
-    "seeds": st.lists(st.integers(0, 2**32), min_size=1, max_size=4).map(tuple),
+                         min_size=1, max_size=6, unique=True).map(tuple),
+    "seeds": st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True).map(tuple),
     "scenario": st.sampled_from(sorted(SCENARIO_PRESETS)),
-    "out": st.text(alphabet="abz09_-./", min_size=1, max_size=12),
+    "out": st.text(max_size=12),
     "format": st.sampled_from(("csv", "json")),
     "actor_lr": st.none() | _UNIT_FLOATS,
     "power_step_db": _FLOAT_TUPLES,
@@ -407,10 +408,42 @@ def _configs(draw):
 @given(_configs())
 @settings(max_examples=60)
 def test_serialize_parse_round_trip(cfg):
+    out = cfg.plan.output_dir
+    try:
+        text = harness.serialize_config(cfg)
+    except ConfigurationError as exc:
+        # only a value that a config line cannot hold is refused, by key
+        assert out != out.strip() or len(out.splitlines()) > 1
+        assert str(exc).startswith("out=")
+        return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg"
-        path.write_text(harness.serialize_config(cfg))
+        path.write_text(text)
         assert harness.parse_config(path) == cfg
+
+
+@pytest.mark.parametrize("text", [" out", "out ", "a\nb", "a\rb", "\t", "a\u2028b"])
+def test_serialize_refuses_values_a_config_line_cannot_hold(text):
+    cfg = harness.RunConfig(plan=harness.ExperimentPlan(output_dir=text))
+    with pytest.raises(ConfigurationError, match="out="):
+        harness.serialize_config(cfg)
+
+
+@pytest.mark.parametrize("key, plan", [("algo", dict(algorithms=("fpa", "dqn", "fpa"))),
+                                       ("antennas", dict(antenna_counts=(4, 4))),
+                                       ("seeds", dict(seeds=(1, 2, 1)))])
+def test_plan_rejects_repeated_entries(key, plan):
+    with pytest.raises(ConfigurationError, match=f"{key} lists an entry more than once"):
+        harness.ExperimentPlan(**plan).validate()
+
+
+def test_cli_repeated_seeds_exit_2_and_write_nothing(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = harness.main(["--algo", "fpa", "--antennas", "1", "--seeds", "0,0",
+                         "--episodes", "2", "--out", str(out)])
+    assert code == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_rejects_empty_lists(tmp_path):

@@ -1,0 +1,89 @@
+"""Lockstep block rollouts: each episode equals its one-episode rollout bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cellbeam import preset
+from cellbeam.agents import AgentHyperparams, FpaAgent, make_agent
+from cellbeam.agents import common
+from cellbeam.environment import DownlinkEnv, SinrPolicy
+from cellbeam.harness import VALID_ANTENNA_COUNTS
+
+# learners train a few episodes first; "_trusted" then acts on its learned policy
+AGENTS = ("fpa", "ddpg", "ddpg_trusted", "dqn_trusted", "hddpg_trusted", "qlearning")
+FIELDS = ("states", "actions", "rewards", "losses", "eff_sinr_db", "powers_dbm",
+          "norm_power", "beam_indices")
+
+
+def _env(m, horizon, cutoff_db):
+    return DownlinkEnv(preset("sub6"), m_antennas=m, horizon=horizon,
+                       policy=SinrPolicy(gamma_cutoff_db=cutoff_db, m_antennas=m))
+
+
+def _agent(kind, env):
+    if kind == "fpa":
+        return FpaAgent(env)
+    hyper = AgentHyperparams(batch_size=8, meta_batch_size=8, controller_batch_size=8,
+                             replay_capacity=200, total_episodes=3)
+    agent = make_agent(kind.split("_")[0], env, hyper, seed=5)
+    # the ranges an agent reads from its env do not depend on horizon or cutoff
+    trainer = _env(env.m_antennas, 12, -30.0)
+    for e in range(3):
+        agent.run_episode(trainer, 1000 + e, train=True)
+    if kind.endswith("_trusted"):
+        assert agent.updates > 0
+        agent.trusted = True
+    return agent
+
+
+def _assert_same(block, single):
+    assert len(block) == len(single)
+    for got, want in zip(block, single):
+        assert got.seed == want.seed and got.aborted == want.aborted
+        for name in FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b, equal_nan=True), name
+
+
+def _sequential(agent, env, seeds, topology_seeds):
+    return [agent.run_episode(env, s, train=False, topology_seed=t)
+            for s, t in zip(seeds, topology_seeds)]
+
+
+@given(kind=st.sampled_from(AGENTS), m=st.sampled_from(VALID_ANTENNA_COUNTS),
+       episodes=st.integers(1, 20), horizon=st.integers(1, 12),
+       cutoff_db=st.sampled_from((-30.0, 4.0, 10.0)), first_seed=st.integers(0, 2 ** 20),
+       cycle=st.integers(0, 4))
+@settings(max_examples=40)
+def test_block_equals_one_episode_rollouts(kind, m, episodes, horizon, cutoff_db,
+                                           first_seed, cycle):
+    env = _env(m, horizon, cutoff_db)
+    agent = _agent(kind, env)
+    seeds = [first_seed + i for i in range(episodes)]
+    drops = [seeds[i % cycle] for i in range(episodes)] if cycle else [None] * episodes
+    block = agent.run_episodes(env, seeds, drops)
+    _assert_same(block, _sequential(agent, env, seeds, drops))
+
+
+def test_set_over_the_byte_budget_splits_into_blocks(monkeypatch):
+    env = _env(4, 10, 4.0)
+    per_episode = common.BLOCK_BYTES // common.block_size(env)
+    monkeypatch.setattr(common, "BLOCK_BYTES", 3 * per_episode + 1)
+    assert common.block_size(env) == 3
+    starts = []
+    start = env.start
+    monkeypatch.setattr(env, "start", lambda seeds, drops: starts.append(len(seeds))
+                        or start(seeds, drops))
+    seeds = list(range(40, 50))
+    for kind in ("fpa", "ddpg_trusted"):
+        agent = _agent(kind, env)
+        starts.clear()
+        block = agent.run_episodes(env, seeds)
+        assert starts == [3, 3, 3, 1]
+        _assert_same(block, _sequential(agent, env, seeds, [None] * len(seeds)))
+        # the set holds both ends of an episode: aborts and horizon truncations
+        assert {log.aborted for log in block} == {True, False}
+        assert any(not log.aborted and log.steps == env.horizon for log in block)
