@@ -6,7 +6,7 @@ environment wrapping it (environment), a small numpy network substrate
 (metrics) and the experiment harness (harness).
 """
 
-from .beamcode import Codebook, beam_from_continuous, build_codebook, step_beam, steering_vector
+from .beamcode import Codebook, beam_from_continuous, build_codebook, step_beam
 from .channel import (ChannelState, Scenario, Topology, compute_sinr, draw_channels,
                       init_topology, new_channel_state, preset, step_mobility)
 from .environment import DownlinkEnv, SinrPolicy, StepOutcome, hierarchical_reward
@@ -20,6 +20,5 @@ __all__ = [
     "ContractViolation", "DownlinkEnv", "GradientSet", "Mlp", "Scenario", "SinrPolicy",
     "StepOutcome", "Topology", "UsageError", "beam_from_continuous", "build_codebook",
     "compute_sinr", "draw_channels", "hierarchical_reward", "init_topology",
-    "new_channel_state", "preset", "soft_update", "step_beam",
-    "step_mobility", "steering_vector",
+    "new_channel_state", "preset", "soft_update", "step_beam", "step_mobility",
 ]

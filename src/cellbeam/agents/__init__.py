@@ -1,11 +1,10 @@
 """The five control policies behind one common train/act interface."""
 
 from .anchor import AnchoredAgent, Validation, validate_policy
-from .common import (ActionScaler, AgentHyperparams, BaseAgent, EpisodeLog,
-                     OrnsteinUhlenbeckNoise, ReplayBuffer, StateNormalizer, Transition,
-                     discrete_action_table, discrete_to_env_action)
-from .ddpg import DdpgAgent, actor_policy_gradient, ddpg_act, ddpg_train_step
-from .dqn import DqnAgent, dqn_target
+from .common import (ActionScaler, AgentHyperparams, BaseAgent, DiscreteAgent, EpisodeLog,
+                     OrnsteinUhlenbeckNoise, ReplayBuffer, Transition, discrete_action_table)
+from .ddpg import DdpgAgent, actor_policy_gradient, ddpg_train_step
+from .dqn import DqnAgent
 from .fpa import FpaAgent, fpa_power
 from .hddpg import HddpgAgent
 from .qlearning import QLearningAgent, StateDiscretizer, qlearning_update
@@ -31,9 +30,8 @@ def make_agent(name: str, env, hyper: AgentHyperparams, seed: int) -> BaseAgent:
 
 __all__ = [
     "ALGORITHMS", "ActionScaler", "AgentHyperparams", "AnchoredAgent", "BaseAgent",
-    "DdpgAgent", "DqnAgent", "EpisodeLog", "FpaAgent", "HddpgAgent",
+    "DdpgAgent", "DiscreteAgent", "DqnAgent", "EpisodeLog", "FpaAgent", "HddpgAgent",
     "OrnsteinUhlenbeckNoise", "QLearningAgent", "ReplayBuffer", "StateDiscretizer",
-    "StateNormalizer", "Transition", "Validation", "actor_policy_gradient", "ddpg_act",
-    "ddpg_train_step", "discrete_action_table", "discrete_to_env_action", "dqn_target",
-    "fpa_power", "make_agent", "qlearning_update", "validate_policy",
+    "Transition", "Validation", "actor_policy_gradient", "ddpg_train_step",
+    "discrete_action_table", "fpa_power", "make_agent", "qlearning_update", "validate_policy",
 ]

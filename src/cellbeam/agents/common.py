@@ -1,4 +1,4 @@
-"""Shared agent machinery: replay buffer, hyperparameters, episode loop."""
+"""Shared agent machinery: replay buffer, hyperparameters, episode loop, discrete acts."""
 
 from __future__ import annotations
 
@@ -121,12 +121,17 @@ class AgentHyperparams:
             raise ConfigurationError("discount must lie in (0, 1)")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError("tau must lie in [0, 1]")
-        for name, low in (("width", 1), ("batch_size", 1), ("meta_batch_size", 1),
+        for name, low in (("width", 1), ("depth", 0), ("batch_size", 1), ("meta_batch_size", 1),
                           ("controller_batch_size", 1), ("meta_period", 1),
-                          ("dqn_updates_per_step", 1), ("position_bins", 1),
-                          ("power_levels", 1), ("noise_scale", 0), ("train_geometry_cycle", 0)):
+                          ("replay_capacity", 1), ("dqn_updates_per_step", 1),
+                          ("position_bins", 1), ("power_levels", 1), ("noise_scale", 0),
+                          ("train_geometry_cycle", 0), ("q_lr", 0), ("actor_weight_decay", 0),
+                          ("critic_weight_decay", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}")
+        for name in ("power_step_db", "q_power_step_db"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{name} must list at least one step")
         if self.lr <= 0:
             raise ConfigurationError("lr must be positive")
         if self.actor_lr is not None and self.actor_lr <= 0:
@@ -136,11 +141,14 @@ class AgentHyperparams:
         if not 0.0 < self.eps_decay_frac <= 1.0:
             raise ConfigurationError("eps_decay_frac must lie in (0, 1]")
 
+    def decay_progress(self, episode: int) -> float:
+        """Share in [0, 1] of the linear exploration decay after `episode` trained episodes."""
+        span = max(1.0, (self.total_episodes - 1) * self.eps_decay_frac)
+        return min(1.0, episode / span)
+
     def epsilon_at(self, episode: int) -> float:
         """Linear decay from eps_start to eps_end over the decay fraction."""
-        span = max(1.0, (self.total_episodes - 1) * self.eps_decay_frac)
-        frac = min(1.0, episode / span)
-        return self.eps_start + (self.eps_end - self.eps_start) * frac
+        return self.eps_start + (self.eps_end - self.eps_start) * self.decay_progress(episode)
 
 
 def agent_stream(seed: int, key: int) -> np.random.Generator:
@@ -180,18 +188,6 @@ def discrete_action_table(power_step_db=(1.0, 3.0), codebook_size: int = 2) -> l
     dirs = [1] if codebook_size == 1 else [1, -1]
     return [(dp_l, dp_b, db_l, db_b)
             for dp_l in deltas for dp_b in deltas for db_l in dirs for db_b in dirs]
-
-
-def discrete_to_env_action(state: np.ndarray, joint: tuple, codebook_size: int,
-                           power_low: float = -np.inf,
-                           power_high: float = np.inf) -> np.ndarray:
-    """Turn (power delta, beam direction) pairs into an absolute env action."""
-    dp_l, dp_b, db_l, db_b = joint
-    n_l = step_beam(int(round(state[6])), db_l, codebook_size)
-    n_b = step_beam(int(round(state[7])), db_b, codebook_size)
-    p_l = float(np.clip(state[4] + dp_l, power_low, power_high))
-    p_b = float(np.clip(state[5] + dp_b, power_low, power_high))
-    return np.array([p_l, p_b, float(n_l), float(n_b)])
 
 
 @dataclass
@@ -289,6 +285,7 @@ class BaseAgent:
 
     name = "base"
     greedy_policy = "learned"   # what act(explore=False) follows: "learned" or "fpa"
+    _episode = 0                # trained episodes so far; exploration decays with it
 
     def begin_episode(self, state: np.ndarray) -> None:
         pass
@@ -306,7 +303,8 @@ class BaseAgent:
         return None
 
     def end_episode(self, trained: bool) -> None:
-        pass
+        if trained:
+            self._episode += 1
 
     def save(self, directory) -> None:
         pass
@@ -358,23 +356,52 @@ class BaseAgent:
         return logs
 
 
-class StateNormalizer:
-    """Affine map of the 8-feature state onto [-1, 1] per feature."""
+class DiscreteAgent(BaseAgent):
+    """Epsilon-greedy learner over the joint power-step/beam-step table.
 
-    def __init__(self, low: np.ndarray, high: np.ndarray):
-        self.low = np.asarray(low, dtype=float)
-        span = np.asarray(high, dtype=float) - self.low
-        self.span = np.where(span > 0.0, span, 1.0)
+    Subclasses call ``_init_actions`` and supply ``greedy_joint(state)``,
+    the table index of the greedy action; ``act`` explores on the given
+    generator and maps the chosen entry onto an absolute env action.
+    """
 
-    def __call__(self, state) -> np.ndarray:
-        return 2.0 * (np.asarray(state, dtype=float) - self.low) / self.span - 1.0
+    def _init_actions(self, env, hyper: AgentHyperparams, power_step_db,
+                      explore_rng: np.random.Generator) -> None:
+        self.hyper = hyper
+        self.actions = discrete_action_table(power_step_db, env.codebook.size)
+        self.codebook_size = env.codebook.size
+        self.power_low = env.power_floor_dbm
+        self.power_high = env.scenario.max_bs_power_dbm
+        self._explore_rng = explore_rng
+
+    @property
+    def epsilon(self) -> float:
+        return self.hyper.epsilon_at(self._episode)
+
+    def greedy_joint(self, state: np.ndarray) -> int:
+        raise NotImplementedError
+
+    def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
+        if explore and self._explore_rng.random() < self.epsilon:
+            joint = int(self._explore_rng.integers(len(self.actions)))
+        else:
+            joint = self.greedy_joint(state)
+        self._last_joint = joint
+        dp_l, dp_b, db_l, db_b = self.actions[joint]
+        n_l = step_beam(int(round(state[6])), db_l, self.codebook_size)
+        n_b = step_beam(int(round(state[7])), db_b, self.codebook_size)
+        p_l = float(np.clip(state[4] + dp_l, self.power_low, self.power_high))
+        p_b = float(np.clip(state[5] + dp_b, self.power_low, self.power_high))
+        return np.array([p_l, p_b, float(n_l), float(n_b)])
 
 
 class ActionScaler:
-    """Affine map between env action units and the [-1, 1] policy space.
+    """Affine map between env units and the [-1, 1] policy space.
 
-    A dimension with zero span (the beam controls of a one-antenna array)
-    has a single applicable value, which maps to -1.
+    It maps actions both ways, and network inputs one way: the network
+    learners normalize states with ``ActionScaler(state_low,
+    state_high).to_normalized``.  A dimension with zero span (the beam
+    controls of a one-antenna array) has a single applicable value, which
+    maps to -1.
     """
 
     def __init__(self, low: np.ndarray, high: np.ndarray):

@@ -16,16 +16,7 @@ import numpy as np
 from ..neuralnet import AdamOptimizer, GradientSet, Mlp, soft_update
 from .anchor import AnchoredAgent
 from .common import (ActionScaler, AgentHyperparams, OrnsteinUhlenbeckNoise, ReplayBuffer,
-                     StateNormalizer, Transition, agent_stream)
-
-
-def ddpg_act(actor: Mlp, state_norm: np.ndarray, sigma_env: np.ndarray,
-             rng: np.random.Generator, scaler: ActionScaler) -> np.ndarray:
-    """Deterministic policy output plus Gaussian exploration, clamped to bounds."""
-    action = scaler.to_env(actor.forward(state_norm))
-    if np.any(sigma_env > 0.0):
-        action = action + rng.normal(0.0, 1.0, action.shape) * sigma_env
-    return np.clip(action, scaler.low, scaler.high)
+                     Transition, agent_stream)
 
 
 def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
@@ -96,7 +87,7 @@ class DdpgAgent(AnchoredAgent):
                  batch_size: int | None = None):
         self.hyper = hyper
         self.batch_size = hyper.batch_size if batch_size is None else batch_size
-        self.normalize = StateNormalizer(env.state_low, env.state_high)
+        self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
         self.scaler = ActionScaler(env.action_low, env.action_high)
         self._init_anchor(env)
 
@@ -120,7 +111,6 @@ class DdpgAgent(AnchoredAgent):
                                         weight_decay=hyper.critic_weight_decay)
         self.buffer = ReplayBuffer(hyper.replay_capacity, buffer_rng)
         self._ou = OrnsteinUhlenbeckNoise(n_actions) if hyper.use_ou_noise else None
-        self._episode = 0
 
     @property
     def noise_sigma(self) -> np.ndarray:
@@ -129,8 +119,7 @@ class DdpgAgent(AnchoredAgent):
         A non-zero floor keeps replay coverage stationary over training,
         which stops the critic from soaking up time-trend confounds.
         """
-        span = max(1.0, (self.hyper.total_episodes - 1) * self.hyper.eps_decay_frac)
-        frac = min(1.0, self._episode / span)
+        frac = self.hyper.decay_progress(self._episode)
         scale = 1.0 + (self.hyper.noise_end_frac - 1.0) * frac
         return self.hyper.noise_scale * scale * (self.scaler.high - self.scaler.low)
 
@@ -139,17 +128,17 @@ class DdpgAgent(AnchoredAgent):
             self._ou.reset()
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
+        """The actor's action, plus OU or Gaussian noise when exploring, clamped to bounds."""
         if not explore and not self.trusted:
             return self.baseline.act(state)
-        state_n = self.normalize(state)
-        if not explore:
-            return np.clip(self.scaler.to_env(self.actor.forward(state_n)),
-                           self.scaler.low, self.scaler.high)
-        if self._ou is not None:
-            action = self.scaler.to_env(self.actor.forward(state_n))
-            action = action + self._ou(self._noise_rng, self.noise_sigma)
-            return np.clip(action, self.scaler.low, self.scaler.high)
-        return ddpg_act(self.actor, state_n, self.noise_sigma, self._noise_rng, self.scaler)
+        action = self.scaler.to_env(self.actor.forward(self.normalize(state)))
+        if explore:
+            sigma = self.noise_sigma
+            if self._ou is not None:
+                action = action + self._ou(self._noise_rng, sigma)
+            elif np.any(sigma > 0.0):
+                action = action + self._noise_rng.normal(0.0, 1.0, action.shape) * sigma
+        return np.clip(action, self.scaler.low, self.scaler.high)
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         self.buffer.push(Transition(np.asarray(state, dtype=float),
@@ -164,10 +153,6 @@ class DdpgAgent(AnchoredAgent):
         if loss is not None:
             self.updates += 1
         return loss
-
-    def end_episode(self, trained: bool) -> None:
-        if trained:
-            self._episode += 1
 
     def save(self, directory) -> None:
         self.actor.save(f"{directory}/{self.name}_actor.npz")

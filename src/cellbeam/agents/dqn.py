@@ -16,34 +16,21 @@ import numpy as np
 
 from ..neuralnet import AdamOptimizer, Mlp, soft_update
 from .anchor import AnchoredAgent
-from .common import (AgentHyperparams, ReplayBuffer, StateNormalizer, Transition,
-                     agent_stream, discrete_action_table, discrete_to_env_action)
+from .common import (ActionScaler, AgentHyperparams, DiscreteAgent, ReplayBuffer, Transition,
+                     agent_stream)
 
 
-def dqn_target(r: float, next_q_values, discount: float, done: bool) -> float:
-    """Target value r + discount * max Q'(s', .), dropping the bootstrap when done."""
-    next_q_values = np.asarray(next_q_values, dtype=float)
-    if done:
-        return float(r)
-    return float(r + discount * next_q_values.max())
-
-
-class DqnAgent(AnchoredAgent):
+class DqnAgent(AnchoredAgent, DiscreteAgent):
     """Epsilon-greedy value learner with replay and a soft-updated target net."""
 
     name = "dqn"
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int):
-        self.hyper = hyper
-        self.actions = discrete_action_table(hyper.power_step_db, env.codebook.size)
-        self.codebook_size = env.codebook.size
-        self.power_low = env.power_floor_dbm
-        self.power_high = env.scenario.max_bs_power_dbm
-        self.normalize = StateNormalizer(env.state_low, env.state_high)
+        self._init_actions(env, hyper, hyper.power_step_db, agent_stream(seed, 1))
+        self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
         self._init_anchor(env)
 
         init_rng = agent_stream(seed, 0)
-        self._explore_rng = agent_stream(seed, 1)
         buffer_rng = agent_stream(seed, 2)
 
         hidden = [hyper.width] * hyper.depth
@@ -57,38 +44,24 @@ class DqnAgent(AnchoredAgent):
         self.adv_opt = AdamOptimizer(self.adv_net, lr=hyper.lr,
                                      weight_decay=hyper.critic_weight_decay)
         self.buffer = ReplayBuffer(hyper.replay_capacity, buffer_rng)
-        self._episode = 0
-
-    @property
-    def epsilon(self) -> float:
-        return self.hyper.epsilon_at(self._episode)
 
     def _q_from(self, value_net: Mlp, adv_net: Mlp, states: np.ndarray) -> np.ndarray:
         value = value_net.forward(states)
         adv = adv_net.forward(states)
-        if adv.ndim == 1:
-            return value[0] + adv - adv.mean()
         return value + adv - adv.mean(axis=1, keepdims=True)
 
-    def q_values(self, state: np.ndarray) -> np.ndarray:
-        return self._q_from(self.value_net, self.adv_net, self.normalize(state))
+    def greedy_joint(self, state: np.ndarray) -> int:
+        # argmax over Q equals argmax over the advantages alone; a value
+        # lead below dqn_greedy_margin falls back to the neutral action,
+        # mirroring the tabular agent's untrained-row default
+        adv = self.adv_net.forward(self.normalize(state))
+        joint = int(np.argmax(adv))
+        return 0 if adv[joint] - adv[0] <= self.hyper.dqn_greedy_margin else joint
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         if not explore and not self.trusted:
             return self.baseline.act(state)
-        if explore and self._explore_rng.random() < self.epsilon:
-            joint = int(self._explore_rng.integers(len(self.actions)))
-        else:
-            # argmax over Q equals argmax over the advantages alone; a value
-            # lead below dqn_greedy_margin falls back to the neutral action,
-            # mirroring the tabular agent's untrained-row default
-            adv = self.adv_net.forward(self.normalize(state))
-            joint = int(np.argmax(adv))
-            if adv[joint] - adv[0] <= self.hyper.dqn_greedy_margin:
-                joint = 0
-        self._last_joint = joint
-        return discrete_to_env_action(state, self.actions[joint], self.codebook_size,
-                                      self.power_low, self.power_high)
+        return super().act(state, explore)
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         self.buffer.push(Transition(np.asarray(state, dtype=float), self._last_joint,
@@ -132,10 +105,6 @@ class DqnAgent(AnchoredAgent):
         soft_update(self.target_adv_net, self.adv_net, hyper.tau)
         self.updates += 1
         return loss
-
-    def end_episode(self, trained: bool) -> None:
-        if trained:
-            self._episode += 1
 
     def save(self, directory) -> None:
         self.value_net.save(f"{directory}/dqn_value_net.npz")

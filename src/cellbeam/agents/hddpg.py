@@ -69,12 +69,7 @@ class HddpgAgent(AnchoredAgent):
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         shaped = hierarchical_reward(reward, self._goal, action,
                                      self.hyper.goal_penalty_weight)
-        self.controller.buffer.push(Transition(np.asarray(state, dtype=float),
-                                               np.asarray(action, dtype=float),
-                                               float(shaped),
-                                               np.asarray(next_state, dtype=float),
-                                               bool(terminated)))
-        loss = self.controller.train_step()
+        loss = self.controller.observe(state, action, shaped, next_state, terminated)
 
         self._window_rewards.append(float(reward))
         full = len(self._window_rewards) == self.hyper.meta_period

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ContractViolation
-from .common import (AgentHyperparams, BaseAgent, agent_stream,
-                     discrete_action_table, discrete_to_env_action)
+from .common import AgentHyperparams, DiscreteAgent, agent_stream
 
 
 def qlearning_update(table: dict, s, a: int, r: float, s_next, lr: float,
@@ -58,52 +57,26 @@ class StateDiscretizer:
                 int(round(state[6])), int(round(state[7])))
 
 
-class QLearningAgent(BaseAgent):
+class QLearningAgent(DiscreteAgent):
     """Epsilon-greedy tabular learner with a linearly decaying epsilon."""
 
     name = "qlearning"
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int, lr: float | None = None):
-        self.hyper = hyper
+        self._init_actions(env, hyper, hyper.q_power_step_db, agent_stream(seed, 0))
         self.lr = hyper.q_lr if lr is None else lr
         self.table: dict = {}
-        self.actions = discrete_action_table(hyper.q_power_step_db, env.codebook.size)
         self.discretizer = StateDiscretizer(env, hyper.position_bins, hyper.power_levels)
-        self.codebook_size = env.codebook.size
-        self.power_low = env.power_floor_dbm
-        self.power_high = env.scenario.max_bs_power_dbm
-        self._rng = agent_stream(seed, 0)
-        self._episode = 0
 
-    @property
-    def epsilon(self) -> float:
-        return self.hyper.epsilon_at(self._episode)
-
-    def _greedy(self, key: tuple) -> int:
-        row = self.table.get(key)
-        if row is None:
-            return 0
-        return int(np.argmax(row))
-
-    def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        key = self.discretizer.key(state)
-        if explore and self._rng.random() < self.epsilon:
-            joint = int(self._rng.integers(len(self.actions)))
-        else:
-            joint = self._greedy(key)
-        self._last_joint = joint
-        return discrete_to_env_action(state, self.actions[joint], self.codebook_size,
-                                      self.power_low, self.power_high)
+    def greedy_joint(self, state: np.ndarray) -> int:
+        row = self.table.get(self.discretizer.key(state))
+        return 0 if row is None else int(np.argmax(row))
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         qlearning_update(self.table, self.discretizer.key(state), self._last_joint,
                          reward, self.discretizer.key(next_state), self.lr,
                          self.hyper.discount, done=terminated, n_actions=len(self.actions))
         return None
-
-    def end_episode(self, trained: bool) -> None:
-        if trained:
-            self._episode += 1
 
     def save(self, directory) -> None:
         keys = np.array(sorted(self.table.keys()))

@@ -16,16 +16,12 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 
 
-def steering_vector(theta: float, m_antennas: int,
-                    spacing_in_wavelengths: float = 0.5) -> np.ndarray:
-    """Array response a(theta) of an M-element ULA, entries of modulus 1/sqrt(M)."""
-    return steering_matrix(np.asarray(theta, dtype=float), m_antennas,
-                           spacing_in_wavelengths)
-
-
 def steering_matrix(thetas, m_antennas: int,
                     spacing_in_wavelengths: float = 0.5) -> np.ndarray:
-    """Steering vectors for an array of angles; output shape thetas.shape + (M,)."""
+    """Array responses a(theta) of an M-element ULA, entries of modulus 1/sqrt(M).
+
+    One steering vector per angle: the output shape is thetas.shape + (M,).
+    """
     if m_antennas < 1:
         raise ConfigurationError("m_antennas must be >= 1")
     kd = 2.0 * math.pi * spacing_in_wavelengths

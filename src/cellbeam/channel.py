@@ -1,6 +1,6 @@
-"""Time-varying multi-cell downlink channel: geometry, mobility, fading, SINR.
+"""Time-varying two-cell downlink channel: geometry, mobility, fading, SINR.
 
-The world is a set of base stations (BS) on a line or hex lattice, each
+The world is two base stations (BS) one inter-site distance apart, each
 serving user equipments (UEs) scattered in a disc around it.  Channels are
 multipath sums of steering vectors with autoregressive complex path gains,
 scaled by a log-distance path loss.  Everything is driven by explicit
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,11 +84,13 @@ class Scenario:
     def ue_speed_mps(self) -> float:
         return self.ue_speed_kmh * 1000.0 / 3600.0
 
-    @property
+    # derived once per scenario, as the environment reads both every frame;
+    # a scenario's fields are not changed after construction (use `replace`)
+    @cached_property
     def max_bs_power_dbm(self) -> float:
         return watts_to_dbm(self.max_bs_power_w)
 
-    @property
+    @cached_property
     def noise_power_w(self) -> float:
         return dbm_to_watts(self.noise_power_dbm)
 
@@ -133,45 +136,18 @@ class Topology:
         return float(np.linalg.norm(self.ue_positions[ue] - bs))
 
 
-def _hex_lattice(n: int, spacing: float) -> np.ndarray:
-    """n points of a hexagonal lattice with nearest-neighbour distance `spacing`.
-
-    Points are sorted centre-outwards (then by angle) so the layout is
-    deterministic for every n.
-    """
-    k = 1
-    while 1 + 3 * k * (k + 1) < n:
-        k += 1
-    coords = []
-    for q in range(-k, k + 1):
-        for r in range(-k, k + 1):
-            if abs(q + r) > k:
-                continue
-            x = spacing * (q + 0.5 * r)
-            y = spacing * (math.sqrt(3.0) / 2.0) * r
-            dist = (abs(q) + abs(r) + abs(q + r)) / 2
-            coords.append((dist, math.atan2(y, x), x, y))
-    coords.sort()
-    return np.array([(x, y) for _, _, x, y in coords[:n]], dtype=float)
-
-
 def init_topology(scenario: Scenario, num_bs: int, ues_per_bs: int, seed) -> Topology:
-    """Place BSs and drop UEs uniformly inside each serving disc.
+    """Place the two BSs and drop UEs uniformly inside each serving disc.
 
-    Two BSs sit on a line one inter-site distance apart; three or more use
-    a hex lattice with that spacing.  Each UE lands uniformly in a disc of
-    radius cell_radius/2 centred on its serving BS.
+    The BSs sit on a line one inter-site distance apart.  Each UE lands
+    uniformly in a disc of radius cell_radius/2 centred on its serving BS.
     """
-    if num_bs < 2:
-        raise ConfigurationError("at least 2 base stations are required")
+    if num_bs != 2:
+        raise ConfigurationError("exactly 2 base stations are supported")
     if ues_per_bs < 1:
         raise ConfigurationError("each base station must serve at least 1 UE")
     rng = np.random.default_rng(seed)
-    isd = scenario.inter_site_distance_m
-    if num_bs == 2:
-        bs = np.array([[0.0, 0.0], [isd, 0.0]])
-    else:
-        bs = _hex_lattice(num_bs, isd)
+    bs = np.array([[0.0, 0.0], [scenario.inter_site_distance_m, 0.0]])
 
     disc_radius = scenario.cell_radius_m / 2.0
     total = num_bs * ues_per_bs

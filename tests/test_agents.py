@@ -5,9 +5,9 @@ import pytest
 
 from cellbeam import preset
 from cellbeam.agents import (AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent, HddpgAgent,
-                             QLearningAgent, ReplayBuffer, Transition, dqn_target,
+                             OrnsteinUhlenbeckNoise, QLearningAgent, ReplayBuffer, Transition,
                              fpa_power, make_agent, qlearning_update, validate_policy)
-from cellbeam.agents.common import discrete_action_table
+from cellbeam.agents.common import agent_stream, discrete_action_table
 from cellbeam.agents.ddpg import actor_policy_gradient, ddpg_train_step
 from cellbeam.environment import DownlinkEnv, SinrPolicy
 from cellbeam.errors import ConfigurationError, ContractViolation
@@ -230,12 +230,6 @@ def test_qlearning_agent_actions_respect_bounds():
 
 # -- DQN -------------------------------------------------------------------------
 
-def test_dqn_target_values():
-    assert dqn_target(3.0, [1.0, 2.0], 0.9, done=True) == 3.0
-    assert dqn_target(1.0, [2.0, 5.0, 0.0], 0.9, done=False) == pytest.approx(5.5)
-    assert dqn_target(4.0, [9.0, 9.0], 0.0, done=False) == 4.0
-
-
 def test_dqn_greedy_reproduces_argmax():
     env = make_env()
     hyper = small_hyper(eps_start=0.0, eps_end=0.0)
@@ -253,7 +247,7 @@ def test_dqn_greedy_reproduces_argmax():
     state = env.reset(0)
     action = agent.act(state, explore=True)
     expected = agent.actions[best]
-    assert int(np.argmax(agent.q_values(state))) == best
+    assert int(np.argmax(agent.adv_net.forward(agent.normalize(state)))) == best
     assert np.allclose(action[:2], np.clip(
         [state[4] + expected[0], state[5] + expected[1]],
         env.power_floor_dbm, env.scenario.max_bs_power_dbm))
@@ -267,6 +261,29 @@ def test_dqn_trains_and_reports_loss():
         log = agent.run_episode(env, seed=e, train=True)
         losses.extend(log.losses[np.isfinite(log.losses)])
     assert losses and all(np.isfinite(losses))
+
+
+@pytest.mark.parametrize("cls, stream", [(QLearningAgent, 0), (DqnAgent, 1)])
+def test_discrete_agents_explore_on_their_own_stream(cls, stream):
+    env = make_env(m=4)
+    agent = cls(env, small_hyper(eps_start=0.8, eps_end=0.1, total_episodes=4), seed=7)
+    rng = agent_stream(7, stream)
+    for episode in range(4):
+        # linear from 0.8 to 0.1 over (total_episodes - 1) trained episodes
+        assert agent.epsilon == pytest.approx(0.8 - 0.7 * min(1.0, episode / 3))
+        for t in range(5):
+            s = env.reset(10 * episode + t)
+            explores = rng.random() < agent.epsilon
+            action = agent.act(s, explore=True)
+            if explores:
+                assert agent._last_joint == int(rng.integers(len(agent.actions)))
+            dp_l, dp_b, db_l, db_b = agent.actions[agent._last_joint]
+            assert np.array_equal(action, [
+                np.clip(s[4] + dp_l, env.power_floor_dbm, env.scenario.max_bs_power_dbm),
+                np.clip(s[5] + dp_b, env.power_floor_dbm, env.scenario.max_bs_power_dbm),
+                (s[6] + db_l) % 4, (s[7] + db_b) % 4])
+        agent.end_episode(trained=False)   # only trained episodes decay epsilon
+        agent.end_episode(trained=True)
 
 
 def test_discrete_action_table_shape_and_order():
@@ -301,6 +318,37 @@ def test_ddpg_act_bounds_and_noise():
         assert np.all(a <= env.action_high + 1e-12)
     other = DdpgAgent(env, small_hyper(noise_scale=0.5), seed=99)
     assert not np.array_equal(agent.act(s, explore=True), other.act(s, explore=True))
+
+
+def test_ddpg_act_without_noise_draws_nothing():
+    env = make_env(m=4)
+    agent = DdpgAgent(env, small_hyper(noise_scale=0.0), seed=0)
+    agent.trusted = True
+    s = env.reset(1)
+    before = agent._noise_rng.bit_generator.state
+    action = agent.act(s, explore=True)
+    assert agent._noise_rng.bit_generator.state == before
+    assert np.array_equal(action, agent.act(s, explore=False))
+
+
+def test_ddpg_ou_act_matches_hand_computation():
+    env = make_env(m=4)
+    agent = DdpgAgent(env, small_hyper(use_ou_noise=True, noise_scale=0.3,
+                                       noise_end_frac=0.5), seed=5)
+    rng, ou = agent_stream(5, 1), OrnsteinUhlenbeckNoise(4)
+    low, high = env.action_low, env.action_high
+    state_span = np.where(env.state_high > env.state_low, env.state_high - env.state_low, 1.0)
+    agent.begin_episode(env.reset(0))
+    for step in range(6):
+        if step == 3:
+            agent.end_episode(trained=True)   # the noise decays between episodes
+        s = env.reset(step)
+        progress = 0.0 if step < 3 else 1 / 4   # one of total_episodes - 1 = 4 trained
+        sigma = 0.3 * (1.0 - 0.5 * progress) * (high - low)
+        normalized = 2.0 * (s - env.state_low) / state_span - 1.0
+        mean = low + (agent.actor.forward(normalized) + 1.0) / 2.0 * (high - low)
+        expected = np.clip(mean + ou(rng, sigma), low, high)
+        assert np.array_equal(agent.act(s, explore=True), expected)
 
 
 def test_ddpg_train_step_requires_buffer():
@@ -466,11 +514,17 @@ def test_hyperparams_validation():
     for key, bad in (("batch_size", 0), ("meta_batch_size", 0), ("controller_batch_size", 0),
                      ("width", 0), ("position_bins", 0), ("power_levels", 0),
                      ("actor_lr", 0.0), ("actor_lr", -1e-3), ("noise_scale", -0.1),
-                     ("dqn_updates_per_step", 0), ("train_geometry_cycle", -3)):
-        with pytest.raises(ConfigurationError, match=key):
+                     ("dqn_updates_per_step", 0), ("train_geometry_cycle", -3),
+                     ("q_lr", -0.1), ("replay_capacity", 0), ("depth", -1),
+                     ("actor_weight_decay", -1e-3), ("critic_weight_decay", -1e-3),
+                     ("power_step_db", ()), ("q_power_step_db", ())):
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
             AgentHyperparams(**{key: bad})
     assert AgentHyperparams(actor_lr=None, noise_scale=0.0,
                             train_geometry_cycle=0).actor_lr is None
+    edge = AgentHyperparams(q_lr=0.0, depth=0, replay_capacity=1, actor_weight_decay=0.0,
+                            critic_weight_decay=0.0, power_step_db=(2.0,))
+    assert (edge.q_lr, edge.depth, edge.replay_capacity) == (0.0, 0, 1)
     defaults = AgentHyperparams()
     assert (defaults.discount, defaults.tau, defaults.lr) == (0.9, 0.1, 1e-4)
     assert (defaults.width, defaults.depth, defaults.meta_period) == (28, 4, 3)

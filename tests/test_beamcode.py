@@ -47,7 +47,7 @@ def test_build_codebook_rejects_zero_antennas():
 def test_steering_matches_codebook_at_grid_angles():
     cb = bc.build_codebook(8)
     for n, theta in enumerate(cb.angles):
-        assert np.allclose(bc.steering_vector(theta, 8), cb.vectors[n], atol=1e-12)
+        assert np.allclose(bc.steering_matrix(theta, 8), cb.vectors[n], atol=1e-12)
 
 
 def test_array_gain_bound():

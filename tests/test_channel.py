@@ -36,6 +36,18 @@ def test_default_noise_is_thermal_over_10mhz():
     assert chan.preset("sub6").noise_power_dbm == pytest.approx(-104.0)
 
 
+def test_scenario_derived_powers_are_cached_with_their_bits():
+    for sc in (chan.preset("sub6"), chan.preset("mmwave", max_bs_power_w=13.7,
+                                                noise_power_dbm=-97.3)):
+        dbm, noise = sc.max_bs_power_dbm, sc.noise_power_w
+        assert dbm is sc.max_bs_power_dbm and noise is sc.noise_power_w
+        assert dbm.tobytes() == chan.watts_to_dbm(sc.max_bs_power_w).tobytes()
+        assert noise == chan.dbm_to_watts(sc.noise_power_dbm)
+        assert type(noise) is type(chan.dbm_to_watts(sc.noise_power_dbm))
+    # a replaced scenario derives its own values
+    assert dataclasses.replace(sc, max_bs_power_w=40.0).max_bs_power_dbm == pytest.approx(46.0206)
+
+
 def test_scenario_validation():
     with pytest.raises(ConfigurationError):
         chan.Scenario(cell_radius_m=-1.0)
@@ -58,8 +70,9 @@ def test_init_topology_two_cells():
 
 def test_init_topology_rejects_bad_counts():
     sc = chan.preset("sub6")
-    with pytest.raises(ConfigurationError):
-        chan.init_topology(sc, num_bs=1, ues_per_bs=1, seed=0)
+    for num_bs in (1, 3, 7):
+        with pytest.raises(ConfigurationError, match="2 base stations"):
+            chan.init_topology(sc, num_bs=num_bs, ues_per_bs=1, seed=0)
     with pytest.raises(ConfigurationError):
         chan.init_topology(sc, num_bs=2, ues_per_bs=0, seed=0)
 
@@ -70,16 +83,6 @@ def test_init_topology_seeded_determinism():
     b = chan.init_topology(sc, 2, 1, seed=0)
     assert np.array_equal(a.ue_positions, b.ue_positions)
     assert np.array_equal(a.ue_headings, b.ue_headings)
-
-
-def test_hex_layout_spacing():
-    sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, num_bs=7, ues_per_bs=1, seed=1)
-    bs = topo.bs_positions
-    # nearest neighbour of every BS sits exactly one inter-site distance away
-    for i in range(7):
-        dists = sorted(np.linalg.norm(bs - bs[i], axis=1))
-        assert dists[1] == pytest.approx(525.0, rel=1e-9)
 
 
 def test_mobility_zero_speed_keeps_positions():

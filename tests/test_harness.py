@@ -446,6 +446,20 @@ def test_cli_repeated_seeds_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
+    for key, bad in (("q_lr", "-0.1"), ("replay_capacity", "0"), ("depth", "-1"),
+                     ("actor_weight_decay", "-1"), ("critic_weight_decay", "-0.5"),
+                     ("power_step_db", ""), ("q_power_step_db", "")):
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(f"{key}={bad}\n")
+        out = tmp_path / key
+        code = harness.main(["--config", str(path), "--algo", "fpa,qlearning,dqn",
+                             "--antennas", "1", "--episodes", "2", "--out", str(out)])
+        assert code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_plan_rejects_empty_lists(tmp_path):
     for key in ("algo", "antennas"):
         path = tmp_path / f"{key}.cfg"
