@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..beamcode import step_beam
-from ..errors import ConfigurationError, ContractViolation
+from ..errors import ConfigurationError, ContractViolation, reject_nan
 from ..metrics import sum_rate
 
 # Bytes that a lockstep block may hold in its episodes' steering tensors
@@ -117,6 +117,7 @@ class AgentHyperparams:
     q_power_step_db: tuple[float, ...] = (3.0,)   # tabular agent's power deltas (+/- each)
 
     def __post_init__(self):
+        reject_nan(self)
         if not 0.0 < self.discount < 1.0:
             raise ConfigurationError("discount must lie in (0, 1)")
         if not 0.0 <= self.tau <= 1.0:
@@ -168,9 +169,9 @@ class OrnsteinUhlenbeckNoise:
         self.state[:] = 0.0
 
     def __call__(self, rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
-        drift = -self.theta * self.state * self.dt
-        diffusion = sigma * np.sqrt(self.dt) * rng.standard_normal(self.state.shape)
-        self.state = self.state + drift + diffusion
+        self.state = self.state - self.theta * self.state * self.dt
+        if np.any(sigma > 0.0):     # no draw when there is nothing to diffuse
+            self.state += sigma * np.sqrt(self.dt) * rng.standard_normal(self.state.shape)
         return self.state.copy()
 
 

@@ -35,7 +35,7 @@ def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
         actions = scaler.applicable(actions)
     critic.forward(np.concatenate([states_norm, actions], axis=1))
     ones = np.ones((batch, 1))
-    dq_dinput = critic.backward(ones / batch).wrt_input
+    dq_dinput = critic.input_gradient(ones / batch)
     dq_daction = dq_dinput[:, states_norm.shape[1]:]
     if scaler is not None:
         dq_daction = np.where(scaler.fixed, 0.0, dq_daction)

@@ -31,30 +31,24 @@ def qlearning_update(table: dict, s, a: int, r: float, s_next, lr: float,
 
 
 class StateDiscretizer:
-    """Bins positions per serving disc, powers into levels, beams natively."""
+    """Bins positions per serving disc, powers into levels, beams natively.
+
+    Each of the six binned features maps to floor(frac * n) clipped to
+    [0, n - 1], with frac its share of [low, high]; a dimension with
+    high <= low has one bin.
+    """
 
     def __init__(self, env, position_bins: int = 8, power_levels: int = 4):
-        self.position_bins = position_bins
-        self.power_levels = power_levels
-        self.low = env.state_low
-        self.high = env.state_high
-
-    def _bin(self, value: float, lo: float, hi: float, n: int) -> int:
-        if hi <= lo:
-            return 0
-        frac = (value - lo) / (hi - lo)
-        return int(np.clip(np.floor(frac * n), 0, n - 1))
+        self._low, high = env.state_low[:6], env.state_high[:6]
+        single = high <= self._low
+        self._span = np.where(single, 1.0, high - self._low)
+        self._bins = np.array([position_bins] * 4 + [power_levels] * 2)
+        self._top = np.where(single, 0, self._bins - 1)
 
     def key(self, state: np.ndarray) -> tuple:
-        b = self._bin
-        p, q = self.position_bins, self.power_levels
-        return (b(state[0], self.low[0], self.high[0], p),
-                b(state[1], self.low[1], self.high[1], p),
-                b(state[2], self.low[2], self.high[2], p),
-                b(state[3], self.low[3], self.high[3], p),
-                b(state[4], self.low[4], self.high[4], q),
-                b(state[5], self.low[5], self.high[5], q),
-                int(round(state[6])), int(round(state[7])))
+        frac = (state[:6] - self._low) / self._span
+        bins = np.clip(np.floor(frac * self._bins), 0, self._top)
+        return tuple(bins.astype(int).tolist()) + (int(round(state[6])), int(round(state[7])))
 
 
 class QLearningAgent(DiscreteAgent):

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the NaN check of config sections."""
+
+import math
+from dataclasses import fields
 
 
 class CellbeamError(Exception):
@@ -15,3 +18,15 @@ class ContractViolation(CellbeamError):
 
 class UsageError(CellbeamError):
     """Operations were called in an invalid order (e.g. step after done)."""
+
+
+def reject_nan(section) -> None:
+    """Raise ConfigurationError naming a dataclass field that is or lists a NaN.
+
+    Range checks written as comparisons are false for NaN, so they let it through.
+    """
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if any(isinstance(v, float) and math.isnan(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigurationError(f"{f.name} must not be NaN")

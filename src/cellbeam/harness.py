@@ -5,7 +5,8 @@ cell derives its own random streams from a stable hash of its identity,
 trains a fresh agent on a fresh environment, checks a network learner's
 greedy policy against FPA on held-out training-stream episodes, then runs
 greedy evaluation episodes.  Evaluation geometry seeds are shared across
-algorithms (same M and base seed) so algorithm comparisons are paired.
+algorithms (same M and base seed) so algorithm comparisons are paired, and
+a plan rolls each (M, seed)'s evaluation once for all agents acting as FPA.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .agents import (ALGORITHMS, AgentHyperparams, AnchoredAgent, FpaAgent, make
 from .agents.anchor import VALIDATION_EPISODES
 from .channel import SCENARIO_PRESETS, Scenario, preset
 from .environment import DownlinkEnv, SinrPolicy
-from .errors import CellbeamError, ConfigurationError
+from .errors import CellbeamError, ConfigurationError, reject_nan
 
 ENV_VAR_PREFIX = "CELLBEAM_"
 VALID_ANTENNA_COUNTS = (1, 4, 8, 16, 32, 64)
@@ -42,6 +43,7 @@ class EnvSettings:
     power_floor_dbm: float = 0.0
 
     def __post_init__(self):
+        reject_nan(self)
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
 
@@ -261,8 +263,14 @@ def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
                        bf_limit_multiplier=cfg.hyper.bf_limit_multiplier)
 
 
-def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int):
-    """Train and evaluate one plan cell; fully deterministic given its seed."""
+def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=None):
+    """Train and evaluate one plan cell; fully deterministic given its seed.
+
+    ``fpa_evals`` maps (M, seed) to the evaluation logs of an agent that
+    acts as FPA.  Those episodes carry no algorithm, so a cell whose greedy
+    policy is FPA reuses an entry there, or fills it, instead of rolling
+    the same episodes again.
+    """
     env = build_env(cfg, m_antennas)
     hyper = replace(cfg.hyper, total_episodes=cfg.plan.episodes)
     agent_seed = _derive_seed(_cell_entropy(algo, m_antennas, seed), (0,))
@@ -281,8 +289,11 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int):
     if isinstance(agent, AnchoredAgent):
         validation = validate_policy(agent, env,
                                      validation_env_seeds(cfg, algo, m_antennas, seed))
-    eval_logs = agent.run_episodes(
-        env, [eval_env_seed(m_antennas, seed, e) for e in range(cfg.plan.eval_episodes)])
+    shared = fpa_evals if fpa_evals is not None and agent.greedy_policy == "fpa" else {}
+    if (m_antennas, seed) not in shared:
+        shared[(m_antennas, seed)] = agent.run_episodes(
+            env, [eval_env_seed(m_antennas, seed, e) for e in range(cfg.plan.eval_episodes)])
+    eval_logs = shared[(m_antennas, seed)]
 
     loss_series = [log.mean_loss for log in train_logs]
     convergence = None
@@ -316,13 +327,15 @@ def run_plan(cfg: RunConfig):
 
     summaries = []
     sample_sets = []
+    fpa_evals = {}      # (M, seed) -> evaluation logs of FPA, for this plan only
     max_cap = max(cfg.env.gamma0_db + 10.0 * math.log2(m) for m in cfg.plan.antenna_counts)
     grid = np.arange(-1.0, math.ceil(max_cap) + 1.5, 0.5)
 
     for algo in cfg.plan.algorithms:
         for m in cfg.plan.antenna_counts:
             for seed in cfg.plan.seeds:
-                agent, train_logs, eval_logs, summary, samples = run_cell(cfg, algo, m, seed)
+                agent, train_logs, eval_logs, summary, samples = run_cell(
+                    cfg, algo, m, seed, fpa_evals)
                 tag = f"{algo}_m{m}_seed{seed}"
                 metrics.write_episode_csv(os.path.join(out_dir, f"{tag}_train.csv"),
                                           train_logs)

@@ -107,9 +107,10 @@ class Mlp:
         activations = [x2]
         z = None
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w + b
+            z = activations[-1] @ w
+            z += b
             if i < len(self.weights) - 1:
-                activations.append(np.tanh(z))
+                activations.append(np.tanh(z, out=z))
         if self.bounded:
             squash = np.tanh(z)
             out = self.output_low + (self.output_high - self.output_low) * (squash + 1.0) / 2.0
@@ -125,6 +126,17 @@ class Mlp:
         Gradients are summed over the batch; scale the upstream (e.g. by
         1/batch) for means.
         """
+        flat = np.empty_like(self.params)
+        grad_w, grad_b = _layer_views(self.widths, flat)
+        wrt_input = self._chain(upstream, grad_w, grad_b)
+        return GradientSet(grad_w, grad_b, wrt_input, flat, self.widths)
+
+    def input_gradient(self, upstream) -> np.ndarray:
+        """The input gradient of backward(upstream), without the parameter gradients."""
+        return self._chain(upstream)
+
+    def _chain(self, upstream, grad_w=None, grad_b=None) -> np.ndarray:
+        """Chain rule through the cached pass; fills grad_w/grad_b when given."""
         if self._cache is None:
             raise UsageError("backward() requires a preceding forward() call")
         activations, squash = self._cache
@@ -133,15 +145,16 @@ class Mlp:
             raise ContractViolation("upstream gradient shape does not match last forward")
         if self.bounded:
             g = g * (self.output_high - self.output_low) / 2.0 * (1.0 - squash ** 2)
-        flat = np.empty_like(self.params)
-        grad_w, grad_b = _layer_views(self.widths, flat)
         for i in range(len(self.weights) - 1, -1, -1):
-            grad_w[i][...] = activations[i].T @ g
-            grad_b[i][...] = g.sum(axis=0)
+            if grad_w is not None:
+                np.matmul(activations[i].T, g, out=grad_w[i])
+                np.sum(g, axis=0, out=grad_b[i])
             g = g @ self.weights[i].T
             if i > 0:
-                g = g * (1.0 - activations[i] ** 2)
-        return GradientSet(grad_w, grad_b, g, flat, self.widths)
+                slope = np.multiply(activations[i], activations[i])
+                np.subtract(1.0, slope, out=slope)
+                g *= slope
+        return g
 
     def copy(self) -> "Mlp":
         clone = object.__new__(Mlp)

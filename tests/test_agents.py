@@ -1,12 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cellbeam import preset
 from cellbeam.agents import (AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent, HddpgAgent,
-                             OrnsteinUhlenbeckNoise, QLearningAgent, ReplayBuffer, Transition,
-                             fpa_power, make_agent, qlearning_update, validate_policy)
+                             OrnsteinUhlenbeckNoise, QLearningAgent, ReplayBuffer,
+                             StateDiscretizer, Transition, fpa_power, make_agent, qlearning_update, validate_policy)
 from cellbeam.agents.common import agent_stream, discrete_action_table
 from cellbeam.agents.ddpg import actor_policy_gradient, ddpg_train_step
 from cellbeam.environment import DownlinkEnv, SinrPolicy
@@ -220,6 +223,43 @@ def test_qlearning_converges_to_value_iteration():
     assert np.abs(learned - q_star).max() < 1e-6
 
 
+def _scalar_key(state, low, high, position_bins, power_levels):
+    """The per-feature binning rule, one scalar clip at a time."""
+    def bin_of(value, lo, hi, n):
+        if hi <= lo:
+            return 0
+        return int(np.clip(np.floor((value - lo) / (hi - lo) * n), 0, n - 1))
+    counts = [position_bins] * 4 + [power_levels] * 2
+    return tuple(bin_of(state[i], low[i], high[i], counts[i]) for i in range(6)) + (
+        int(round(state[6])), int(round(state[7])))
+
+
+_coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@given(low=st.lists(_coord, min_size=8, max_size=8),
+       spans=st.lists(st.sampled_from([0.0, -1.0, 0.5, 3.0, 700.0]), min_size=8, max_size=8),
+       state=st.lists(st.floats(-2e3, 2e3, allow_nan=False), min_size=6, max_size=6),
+       beams=st.lists(st.integers(0, 63), min_size=2, max_size=2),
+       position_bins=st.integers(1, 12), power_levels=st.integers(1, 6))
+def test_discretizer_key_equals_the_scalar_rule(low, spans, state, beams, position_bins,
+                                                power_levels):
+    low = np.array(low)
+    high = low + np.array(spans)     # zero and negative spans give one bin
+    env = SimpleNamespace(state_low=low, state_high=high)
+    s = np.array(state + [float(b) for b in beams])
+    key = StateDiscretizer(env, position_bins, power_levels).key(s)
+    assert key == _scalar_key(s, low, high, position_bins, power_levels)
+    assert all(type(k) is int for k in key)
+
+
+def test_discretizer_key_at_the_bin_edges():
+    env = SimpleNamespace(state_low=np.zeros(8), state_high=np.array([8.0, 8, 8, 0, 4, 4, 1, 1]))
+    disc = StateDiscretizer(env, position_bins=8, power_levels=4)
+    assert disc.key(np.array([0.0, 7.999, 8.0, 5.0, -1.0, 9.0, 0.6, 1.0])) == (
+        0, 7, 7, 0, 0, 3, 1, 1)
+
+
 def test_qlearning_agent_actions_respect_bounds():
     env = make_env()
     agent = QLearningAgent(env, small_hyper(), seed=0)
@@ -329,6 +369,19 @@ def test_ddpg_act_without_noise_draws_nothing():
     action = agent.act(s, explore=True)
     assert agent._noise_rng.bit_generator.state == before
     assert np.array_equal(action, agent.act(s, explore=False))
+
+
+def test_ddpg_ou_act_without_noise_draws_nothing():
+    env = make_env(m=4)
+    agent = DdpgAgent(env, small_hyper(use_ou_noise=True, noise_scale=0.0), seed=0)
+    agent.trusted = True
+    s = env.reset(1)
+    agent.begin_episode(s)
+    before = agent._noise_rng.bit_generator.state
+    action = agent.act(s, explore=True)
+    assert agent._noise_rng.bit_generator.state == before
+    assert np.array_equal(action, agent.act(s, explore=False))
+    assert np.array_equal(agent._ou.state, np.zeros(4))
 
 
 def test_ddpg_ou_act_matches_hand_computation():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellbeam import harness
-from cellbeam.agents import ALGORITHMS
+from cellbeam import harness, metrics
+from cellbeam.agents import ALGORITHMS, BaseAgent
 from cellbeam.channel import SCENARIO_PRESETS
 from cellbeam.agents import AgentHyperparams
 from cellbeam.errors import ConfigurationError
@@ -243,10 +243,76 @@ def test_untrained_learners_evaluate_exactly_as_fpa(tmp_path):
     for m in (1, 4):
         for seed in (0, 3):
             fpa = (out / f"fpa_m{m}_seed{seed}_eval.csv").read_bytes()
-            for algo in ("dqn", "ddpg", "hddpg"):
-                assert (out / f"{algo}_m{m}_seed{seed}_eval.csv").read_bytes() == fpa
+            for algo in ("fpa", "dqn", "ddpg", "hddpg"):
+                # run_cell alone shares nothing: each cell rolls its own episodes
+                alone = tmp_path / f"{algo}_m{m}_seed{seed}_alone.csv"
+                metrics.write_episode_csv(alone, harness.run_cell(cfg, algo, m, seed)[2])
+                planned = (out / f"{algo}_m{m}_seed{seed}_eval.csv").read_bytes()
+                assert planned == alone.read_bytes() == fpa
     assert {s.greedy_policy for s in summaries} == {"fpa"}
     assert all(s.validation is None for s in summaries)
+
+
+def _count_eval_rollouts(monkeypatch, cfg):
+    """Patch the block rollout to record (agent name, greedy policy) per evaluation."""
+    evals = {harness.eval_env_seed(m, seed, 0) for m in cfg.plan.antenna_counts
+             for seed in cfg.plan.seeds}
+    calls = []
+    rollout = BaseAgent.run_episodes
+
+    def counted(agent, env, seeds, topology_seeds=None):
+        seeds = list(seeds)
+        if seeds[0] in evals:
+            calls.append((agent.name, agent.greedy_policy))
+        return rollout(agent, env, seeds, topology_seeds)
+
+    monkeypatch.setattr(BaseAgent, "run_episodes", counted)
+    return calls
+
+
+def test_plan_rolls_the_fpa_evaluation_once_per_cell_key(tmp_path, monkeypatch):
+    cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "qlearning", "dqn", "ddpg"),
+                    antenna_counts=(1, 4))
+    calls = _count_eval_rollouts(monkeypatch, cfg)
+    harness.run_plan(cfg)
+    # one FPA rollout per (M, seed) serves dqn and ddpg; Q-learning rolls its own
+    assert calls == [("fpa", "fpa")] * 2 + [("qlearning", "learned")] * 2
+
+
+def test_each_plan_rolls_its_own_evaluations(tmp_path, monkeypatch):
+    cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "dqn"))
+    calls = _count_eval_rollouts(monkeypatch, cfg)
+    harness.run_plan(cfg)
+    assert calls == [("fpa", "fpa")]
+    harness.run_plan(cfg)
+    assert calls == [("fpa", "fpa")] * 2
+
+
+def test_a_trusted_learner_rolls_its_own_evaluation(tmp_path, monkeypatch):
+    cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "ddpg", "hddpg"))
+    monkeypatch.setattr(harness, "validate_policy",
+                        lambda agent, env, seeds: setattr(agent, "trusted", True))
+    calls = _count_eval_rollouts(monkeypatch, cfg)
+    summaries = harness.run_plan(cfg)
+    assert calls == [("fpa", "fpa"), ("ddpg", "learned"), ("hddpg", "learned")]
+    assert [s.greedy_policy for s in summaries] == ["fpa", "learned", "learned"]
+    out = tmp_path / "out"
+    fpa = (out / "fpa_m1_seed0_eval.csv").read_bytes()
+    assert (out / "ddpg_m1_seed0_eval.csv").read_bytes() != fpa
+
+
+def test_run_cell_shares_evaluation_logs_only_between_fpa_actors(tmp_path, monkeypatch):
+    cfg = _tiny_cfg(tmp_path)
+    shared = {}
+    fpa_logs = harness.run_cell(cfg, "fpa", 1, 0, shared)[2]
+    assert shared == {(1, 0): fpa_logs}
+    assert harness.run_cell(cfg, "dqn", 1, 0, shared)[2] is fpa_logs
+    assert harness.run_cell(cfg, "qlearning", 1, 0, shared)[2] is not fpa_logs
+    assert harness.run_cell(cfg, "dqn", 1, 1, shared)[2] is shared[(1, 1)]
+    monkeypatch.setattr(harness, "validate_policy",
+                        lambda agent, env, seeds: setattr(agent, "trusted", True))
+    assert harness.run_cell(cfg, "ddpg", 1, 0, shared)[2] is not fpa_logs
+    assert list(shared) == [(1, 0), (1, 1)]
 
 
 def test_validation_seeds_are_held_out():
@@ -449,7 +515,10 @@ def test_cli_repeated_seeds_exit_2_and_write_nothing(tmp_path, capsys):
 def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
     for key, bad in (("q_lr", "-0.1"), ("replay_capacity", "0"), ("depth", "-1"),
                      ("actor_weight_decay", "-1"), ("critic_weight_decay", "-0.5"),
-                     ("power_step_db", ""), ("q_power_step_db", "")):
+                     ("power_step_db", ""), ("q_power_step_db", ""), ("lr", "nan"),
+                     ("q_lr", "nan"), ("noise_scale", "nan"), ("reward_scale", "nan"),
+                     ("gamma_cutoff_db", "nan"), ("power_floor_dbm", "nan"),
+                     ("power_step_db", "1,nan"), ("cell_radius_m", "nan")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key}={bad}\n")
         out = tmp_path / key

@@ -134,6 +134,53 @@ def test_backward_input_gradient_finite_diff():
     assert _rel_err(got, want) < 1e-4
 
 
+def _reference_pass(net, x, upstream):
+    """Forward and backward written out with fresh arrays at every operation."""
+    activations, z = [np.atleast_2d(x)], None
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = activations[-1] @ w + b
+        if i < len(net.weights) - 1:
+            activations.append(np.tanh(z))
+    g = np.atleast_2d(upstream)
+    if net.bounded:
+        squash = np.tanh(z)
+        out = net.output_low + (net.output_high - net.output_low) * (squash + 1.0) / 2.0
+        g = g * (net.output_high - net.output_low) / 2.0 * (1.0 - squash ** 2)
+    else:
+        out = z
+    grad_w, grad_b = [None] * len(net.weights), [None] * len(net.weights)
+    for i in range(len(net.weights) - 1, -1, -1):
+        grad_w[i] = activations[i].T @ g
+        grad_b[i] = g.sum(axis=0)
+        g = g @ net.weights[i].T
+        if i > 0:
+            g = g * (1.0 - activations[i] ** 2)
+    return out, grad_w, grad_b, g
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("batch", [1, 7, 128])
+def test_in_place_passes_keep_every_bit_of_the_reference(bounded, batch):
+    rng = np.random.default_rng(40 + batch)
+    bounds = dict(output_low=-np.ones(3), output_high=2 * np.ones(3)) if bounded else {}
+    net = nn.Mlp([6, 9, 9, 9, 3], rng=41, **bounds)
+    x, upstream = rng.standard_normal((batch, 6)), rng.standard_normal((batch, 3))
+    out, grad_w, grad_b, wrt_input = _reference_pass(net, x, upstream)
+    assert np.array_equal(net.forward(x), out)
+    grads = net.backward(upstream)
+    assert all(np.array_equal(a, b) for a, b in zip(grads.weights, grad_w))
+    assert all(np.array_equal(a, b) for a, b in zip(grads.biases, grad_b))
+    assert np.array_equal(grads.wrt_input, wrt_input)
+    assert np.array_equal(net.input_gradient(upstream), wrt_input)
+    # backward leaves the cached pass intact: a second call repeats the first
+    assert np.array_equal(net.backward(upstream).flat, grads.flat)
+
+
+def test_input_gradient_without_forward_is_usage_error():
+    with pytest.raises(UsageError):
+        nn.Mlp([2, 2], rng=7).input_gradient(np.ones(2))
+
+
 def test_backward_zero_upstream_gives_zero_grads():
     net = nn.Mlp([2, 3, 2], rng=5)
     net.forward(np.ones(2))
