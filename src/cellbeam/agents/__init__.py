@@ -1,6 +1,5 @@
 """The five control policies behind one common train/act interface."""
 
-from .anchor import AnchoredAgent, Validation, validate_policy
 from .common import (ActionScaler, AgentHyperparams, BaseAgent, DiscreteAgent, EpisodeLog,
                      OrnsteinUhlenbeckNoise, ReplayBuffer, Transition, discrete_action_table)
 from .ddpg import DdpgAgent, actor_policy_gradient, ddpg_train_step
@@ -29,9 +28,9 @@ def make_agent(name: str, env, hyper: AgentHyperparams, seed: int) -> BaseAgent:
     raise ConfigurationError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
 
 __all__ = [
-    "ALGORITHMS", "ActionScaler", "AgentHyperparams", "AnchoredAgent", "BaseAgent",
-    "DdpgAgent", "DiscreteAgent", "DqnAgent", "EpisodeLog", "FpaAgent", "HddpgAgent",
+    "ALGORITHMS", "ActionScaler", "AgentHyperparams", "BaseAgent", "DdpgAgent",
+    "DiscreteAgent", "DqnAgent", "EpisodeLog", "FpaAgent", "HddpgAgent",
     "OrnsteinUhlenbeckNoise", "QLearningAgent", "ReplayBuffer", "StateDiscretizer",
-    "Transition", "Validation", "actor_policy_gradient", "ddpg_train_step",
-    "discrete_action_table", "fpa_power", "make_agent", "qlearning_update", "validate_policy",
+    "Transition", "actor_policy_gradient", "ddpg_train_step", "discrete_action_table",
+    "fpa_power", "make_agent", "qlearning_update",
 ]

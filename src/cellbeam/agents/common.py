@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..beamcode import step_beam
-from ..errors import ConfigurationError, ContractViolation, reject_nan
+from ..errors import ConfigurationError, ContractViolation, reject_nonfinite
 from ..metrics import sum_rate
 
 # Bytes that a lockstep block may hold in its episodes' steering tensors
@@ -117,7 +117,7 @@ class AgentHyperparams:
     q_power_step_db: tuple[float, ...] = (3.0,)   # tabular agent's power deltas (+/- each)
 
     def __post_init__(self):
-        reject_nan(self)
+        reject_nonfinite(self)
         if not 0.0 < self.discount < 1.0:
             raise ConfigurationError("discount must lie in (0, 1)")
         if not 0.0 <= self.tau <= 1.0:
@@ -127,7 +127,7 @@ class AgentHyperparams:
                           ("replay_capacity", 1), ("dqn_updates_per_step", 1),
                           ("position_bins", 1), ("power_levels", 1), ("noise_scale", 0),
                           ("train_geometry_cycle", 0), ("q_lr", 0), ("actor_weight_decay", 0),
-                          ("critic_weight_decay", 0)):
+                          ("critic_weight_decay", 0), ("pc_limit_db", 0), ("ic_limit_db", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}")
         for name in ("power_step_db", "q_power_step_db"):
@@ -285,15 +285,22 @@ class BaseAgent:
     """Common train/act interface; subclasses fill in the four hooks."""
 
     name = "base"
-    greedy_policy = "learned"   # what act(explore=False) follows: "learned" or "fpa"
     _episode = 0                # trained episodes so far; exploration decays with it
 
     def begin_episode(self, state: np.ndarray) -> None:
         pass
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        """The action for a state; a greedy FPA act also takes a (B, 8) block."""
+        """The action for one state; ``explore=False`` gives the agent's greedy policy."""
         raise NotImplementedError
+
+    def act_block(self, states: np.ndarray) -> np.ndarray:
+        """Greedy actions for a (B, 8) block of states, one ``act`` per row.
+
+        A batched network forward rounds differently from a one-state one,
+        so a learner acts row by row and each row keeps its one-episode bits.
+        """
+        return np.stack([self.act(state, explore=False) for state in states])
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         """Store the transition and train; returns a loss or None.
@@ -331,14 +338,8 @@ class BaseAgent:
 
         Each log equals that of ``run_episode(env, seed, False, topology_seed)``
         bit for bit; the episode hooks are not called, as a greedy act reads
-        nothing they set up.  FPA, or a learner anchored at it, acts on a
-        whole block in one call; a learned policy acts row by row, because a
-        batched network forward rounds differently from a one-state one.
+        nothing they set up.  Every frame's actions come from ``act_block``.
         """
-        def act(states):
-            if self.greedy_policy == "fpa":
-                return self.act(states, explore=False)
-            return np.stack([self.act(state, explore=False) for state in states])
         seeds = list(seeds)
         drops = [None] * len(seeds) if topology_seeds is None else list(topology_seeds)
         size = block_size(env)
@@ -347,7 +348,7 @@ class BaseAgent:
             states = env.start(seeds[i:i + size], drops[i:i + size])
             frames = _Frames(env, seeds[i:i + size], states)
             while frames.ids.size:
-                actions = act(states)
+                actions = self.act_block(states)
                 outcome = env.advance(actions)
                 ended = frames.record(outcome, actions)
                 states = outcome.next_state[~ended]

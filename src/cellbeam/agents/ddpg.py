@@ -5,8 +5,7 @@ the critic scores (normalized state, normalized action) pairs.  Env-unit
 actions only exist at the environment boundary.  The critic only ever sees
 actions the environment can apply: a dimension with a single applicable
 value (the beams of a one-antenna array) reads -1 in every critic input,
-stored, bootstrapped or differentiated.  Greedy acts follow FPA until the
-learned policy passes the baseline check (see anchor.py).
+stored, bootstrapped or differentiated.
 """
 
 from __future__ import annotations
@@ -14,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..neuralnet import AdamOptimizer, GradientSet, Mlp, soft_update
-from .anchor import AnchoredAgent
-from .common import (ActionScaler, AgentHyperparams, OrnsteinUhlenbeckNoise, ReplayBuffer,
-                     Transition, agent_stream)
+from .common import (ActionScaler, AgentHyperparams, BaseAgent, OrnsteinUhlenbeckNoise,
+                     ReplayBuffer, Transition, agent_stream)
 
 
 def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
@@ -78,7 +76,7 @@ def ddpg_train_step(buffer: ReplayBuffer, actor: Mlp, critic: Mlp, target_actor:
     return loss
 
 
-class DdpgAgent(AnchoredAgent):
+class DdpgAgent(BaseAgent):
     """Continuous power/beam controller with replay and Polyak-averaged targets."""
 
     name = "ddpg"
@@ -89,7 +87,7 @@ class DdpgAgent(AnchoredAgent):
         self.batch_size = hyper.batch_size if batch_size is None else batch_size
         self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
         self.scaler = ActionScaler(env.action_low, env.action_high)
-        self._init_anchor(env)
+        self.updates = 0    # minibatch updates run
 
         init_rng = agent_stream(seed, 0)
         self._noise_rng = agent_stream(seed, 1)
@@ -129,8 +127,6 @@ class DdpgAgent(AnchoredAgent):
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """The actor's action, plus OU or Gaussian noise when exploring, clamped to bounds."""
-        if not explore and not self.trusted:
-            return self.baseline.act(state)
         action = self.scaler.to_env(self.actor.forward(self.normalize(state)))
         if explore:
             sigma = self.noise_sigma

@@ -5,9 +5,7 @@ mean_a A(s,a) with weight decay on the advantage stream: states without
 consistent evidence collapse to A ~ 0, so the greedy argmax falls back to
 the first (both-powers-up) action instead of acting on fitting noise.
 Targets follow the standard bootstrapped rule against a soft-updated
-target network, dropping the bootstrap only on an abort.  Greedy acts
-follow FPA until the learned policy passes the baseline check (see
-anchor.py).
+target network, dropping the bootstrap only on an abort.
 """
 
 from __future__ import annotations
@@ -15,12 +13,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..neuralnet import AdamOptimizer, Mlp, soft_update
-from .anchor import AnchoredAgent
 from .common import (ActionScaler, AgentHyperparams, DiscreteAgent, ReplayBuffer, Transition,
                      agent_stream)
 
 
-class DqnAgent(AnchoredAgent, DiscreteAgent):
+class DqnAgent(DiscreteAgent):
     """Epsilon-greedy value learner with replay and a soft-updated target net."""
 
     name = "dqn"
@@ -28,7 +25,7 @@ class DqnAgent(AnchoredAgent, DiscreteAgent):
     def __init__(self, env, hyper: AgentHyperparams, seed: int):
         self._init_actions(env, hyper, hyper.power_step_db, agent_stream(seed, 1))
         self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
-        self._init_anchor(env)
+        self.updates = 0    # minibatch updates run
 
         init_rng = agent_stream(seed, 0)
         buffer_rng = agent_stream(seed, 2)
@@ -57,11 +54,6 @@ class DqnAgent(AnchoredAgent, DiscreteAgent):
         adv = self.adv_net.forward(self.normalize(state))
         joint = int(np.argmax(adv))
         return 0 if adv[joint] - adv[0] <= self.hyper.dqn_greedy_margin else joint
-
-    def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        if not explore and not self.trusted:
-            return self.baseline.act(state)
-        return super().act(state, explore)
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         self.buffer.push(Transition(np.asarray(state, dtype=float), self._last_joint,

@@ -1,4 +1,4 @@
-"""Fixed power allocation: the static industry baseline."""
+"""Fixed power allocation: the static industry policy the learners are scored against."""
 
 from __future__ import annotations
 
@@ -29,10 +29,10 @@ class FpaAgent(BaseAgent):
     """Requests the same fixed power every step and never moves the beams."""
 
     name = "fpa"
-    greedy_policy = "fpa"
 
-    def __init__(self, env, n_prb_total: int = 100, n_prb_allocated: int = 100):
-        raw = fpa_power(env.scenario, n_prb_total, n_prb_allocated)
+    def __init__(self, env):
+        # all 100 resource blocks allocated: the full power cap
+        raw = fpa_power(env.scenario, 100, 100)
         self.power_dbm = float(np.clip(raw, env.power_floor_dbm,
                                        env.scenario.max_bs_power_dbm))
 
@@ -40,3 +40,6 @@ class FpaAgent(BaseAgent):
         """The fixed powers and the current beams, for one state or a (B, 8) block."""
         return np.concatenate([np.full(np.shape(state)[:-1] + (2,), self.power_dbm),
                                np.asarray(state)[..., 6:]], axis=-1)
+
+    def act_block(self, states: np.ndarray) -> np.ndarray:
+        return self.act(states, explore=False)

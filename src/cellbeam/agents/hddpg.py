@@ -7,8 +7,7 @@ the environment reward minus the absolute goal deviation.  A window that
 an abort cuts short still enters the meta buffer, as a terminal meta
 transition; one that the horizon cuts short is dropped, so an episode of
 T steps that never aborts yields floor(T / meta_period) meta transitions.
-Greedy acts go through the controller, which follows FPA until the
-learned policy passes the baseline check (see anchor.py).
+Greedy acts go through the controller.
 """
 
 from __future__ import annotations
@@ -16,26 +15,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..environment import hierarchical_reward
-from .anchor import AnchoredAgent
-from .common import AgentHyperparams, Transition
+from .common import AgentHyperparams, BaseAgent, Transition
 from .ddpg import DdpgAgent
 
 
-class HddpgAgent(AnchoredAgent):
+class HddpgAgent(BaseAgent):
     """Two-timescale agent built from a controller and a meta DDPG."""
 
     name = "hddpg"
 
-    def __init__(self, env, hyper: AgentHyperparams, seed: int,
-                 meta_seed: int | None = None):
+    def __init__(self, env, hyper: AgentHyperparams, seed: int):
         self.hyper = hyper
         # the controller derives its streams exactly like a plain DDPG agent
         # with the same seed, so the two degenerate to each other
         self.controller = DdpgAgent(env, hyper, seed,
                                     batch_size=hyper.controller_batch_size)
-        if meta_seed is None:
-            meta_seed = int(np.random.SeedSequence(seed, spawn_key=(1000,))
-                            .generate_state(1)[0])
+        meta_seed = int(np.random.SeedSequence(seed, spawn_key=(1000,)).generate_state(1)[0])
         self.meta = DdpgAgent(env, hyper, meta_seed, batch_size=hyper.meta_batch_size)
         self.meta.name = "hddpg_meta"
         self.controller.name = "hddpg_controller"
@@ -43,15 +38,7 @@ class HddpgAgent(AnchoredAgent):
         self._window_start = None
         self._window_rewards: list[float] = []
 
-    # the controller is the acting policy, so it holds the anchor state
-    @property
-    def trusted(self) -> bool:
-        return self.controller.trusted
-
-    @trusted.setter
-    def trusted(self, value: bool) -> None:
-        self.controller.trusted = value
-
+    # the controller is the acting policy, so its updates are the ones a check weighs
     @property
     def updates(self) -> int:
         return self.controller.updates

@@ -56,9 +56,8 @@ class QLearningAgent(DiscreteAgent):
 
     name = "qlearning"
 
-    def __init__(self, env, hyper: AgentHyperparams, seed: int, lr: float | None = None):
+    def __init__(self, env, hyper: AgentHyperparams, seed: int):
         self._init_actions(env, hyper, hyper.q_power_step_db, agent_stream(seed, 0))
-        self.lr = hyper.q_lr if lr is None else lr
         self.table: dict = {}
         self.discretizer = StateDiscretizer(env, hyper.position_bins, hyper.power_levels)
 
@@ -68,7 +67,7 @@ class QLearningAgent(DiscreteAgent):
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         qlearning_update(self.table, self.discretizer.key(state), self._last_joint,
-                         reward, self.discretizer.key(next_state), self.lr,
+                         reward, self.discretizer.key(next_state), self.hyper.q_lr,
                          self.hyper.discount, done=terminated, n_actions=len(self.actions))
         return None
 

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .beamcode import steering_matrix
-from .errors import ConfigurationError, ContractViolation, reject_nan
+from .errors import ConfigurationError, ContractViolation, reject_nonfinite
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -67,7 +67,7 @@ class Scenario:
     max_bs_power_w: float = 40.0
 
     def __post_init__(self):
-        reject_nan(self)
+        reject_nonfinite(self)
         if self.cell_radius_m <= 0 or self.inter_site_distance_m <= 0:
             raise ConfigurationError("cell radius and inter-site distance must be positive")
         if not 0.0 <= self.p_los <= 1.0:

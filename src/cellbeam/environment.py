@@ -85,14 +85,13 @@ class DownlinkEnv:
 
     def __init__(self, scenario: chan.Scenario, m_antennas: int = 1, horizon: int = 50,
                  policy: SinrPolicy | None = None, power_floor_dbm: float = 0.0,
-                 power_span_db=40.0, bf_limit_multiplier: float = 1.0,
-                 spacing_in_wavelengths: float = 0.5):
+                 power_span_db=40.0, bf_limit_multiplier: float = 1.0):
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         self.scenario = scenario
         self.m_antennas = int(m_antennas)
         self.horizon = int(horizon)
-        self.codebook = build_codebook(self.m_antennas, spacing_in_wavelengths)
+        self.codebook = build_codebook(self.m_antennas)    # half-wavelength spacing
         self.policy = policy or SinrPolicy(m_antennas=self.m_antennas)
         if self.policy.m_antennas != self.m_antennas:
             raise ConfigurationError("SinrPolicy antenna count must match the environment")
@@ -102,7 +101,9 @@ class DownlinkEnv:
             np.asarray(power_span_db, dtype=float), (2,)).copy()
         self.bf_limit = bf_limit_multiplier * self.m_antennas - 1.0
         if self.power_floor_dbm > scenario.max_bs_power_dbm:
-            raise ConfigurationError("power floor exceeds the maximum transmit power")
+            raise ConfigurationError("power_floor_dbm exceeds the maximum transmit power")
+        if self.bf_limit < 0.0:
+            raise ConfigurationError(f"bf_limit_multiplier must be >= 1/M = 1/{self.m_antennas}")
         self.topology = self.channel_state = None
         self._done = True
 

@@ -4,9 +4,10 @@ A plan is the cross product (algorithm x antenna count x seed).  Every
 cell derives its own random streams from a stable hash of its identity,
 trains a fresh agent on a fresh environment, checks a network learner's
 greedy policy against FPA on held-out training-stream episodes, then runs
-greedy evaluation episodes.  Evaluation geometry seeds are shared across
-algorithms (same M and base seed) so algorithm comparisons are paired, and
-a plan rolls each (M, seed)'s evaluation once for all agents acting as FPA.
+greedy evaluation episodes with the learned policy or, if the check did not
+trust it, with FPA.  Evaluation geometry seeds are shared across algorithms
+(same M and base seed) so algorithm comparisons are paired, and a plan rolls
+each (M, seed)'s FPA evaluation once for every cell that evaluates with FPA.
 """
 
 from __future__ import annotations
@@ -21,12 +22,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import metrics
-from .agents import (ALGORITHMS, AgentHyperparams, AnchoredAgent, FpaAgent, make_agent,
-                     validate_policy)
-from .agents.anchor import VALIDATION_EPISODES
+from .agents import ALGORITHMS, AgentHyperparams, FpaAgent, make_agent
 from .channel import SCENARIO_PRESETS, Scenario, preset
 from .environment import DownlinkEnv, SinrPolicy
-from .errors import CellbeamError, ConfigurationError, reject_nan
+from .errors import CellbeamError, ConfigurationError, reject_nonfinite
 
 ENV_VAR_PREFIX = "CELLBEAM_"
 VALID_ANTENNA_COUNTS = (1, 4, 8, 16, 32, 64)
@@ -43,7 +42,7 @@ class EnvSettings:
     power_floor_dbm: float = 0.0
 
     def __post_init__(self):
-        reject_nan(self)
+        reject_nonfinite(self)
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
 
@@ -97,6 +96,12 @@ class RunConfig:
     scenario: Scenario = field(default_factory=lambda: preset("sub6"))
     env: EnvSettings = field(default_factory=EnvSettings)
     hyper: AgentHyperparams = field(default_factory=AgentHyperparams)
+
+    def validate(self) -> None:
+        """Check the plan and that every antenna count gives non-empty action ranges."""
+        self.plan.validate()
+        for m in self.plan.antenna_counts:
+            build_env(self, m)
 
 
 # -- config file handling ----------------------------------------------------
@@ -197,8 +202,10 @@ def parse_config(path=None, cli_values=None) -> RunConfig:
     plan = ExperimentPlan(**sections.pop("plan"))
     plan.validate()
     sections["scenario"] = {**SCENARIO_PRESETS[plan.scenario], **sections["scenario"]}
-    return RunConfig(plan=plan, **{name: _SECTIONS[name](**kwargs)
-                                   for name, kwargs in sections.items()})
+    cfg = RunConfig(plan=plan, **{name: _SECTIONS[name](**kwargs)
+                                  for name, kwargs in sections.items()})
+    cfg.validate()
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -244,6 +251,33 @@ def eval_env_seed(m: int, seed: int, episode: int) -> int:
     return _derive_seed([int(seed), int(m)], (2, episode))
 
 
+# -- the FPA anchor -----------------------------------------------------------
+#
+# A network learner (DQN, DDPG, h-DDPG) is evaluated with its own greedy
+# policy only when a one-sided paired test on held-out episodes shows it
+# beats FPA, in the spirit of Thomas et al. 2015, "High Confidence Policy
+# Improvement"; otherwise the cell evaluates FPA.  Tabular Q-learning needs
+# no check: its unvisited rows already fall back to action 0, the
+# count-based form of the same anchor.
+
+CHECKED_ALGORITHMS = ("dqn", "ddpg", "hddpg")
+# as many held-out episodes as a default evaluation runs; a one-sided
+# 2-standard-error bar lets a policy with no real gain over FPA through
+# about 2% of the time
+VALIDATION_EPISODES = 50
+CONFIDENCE_Z = 2.0
+
+
+@dataclass(frozen=True)
+class Validation:
+    """Outcome of one paired check of a learned policy against FPA."""
+
+    episodes: int
+    mean_gain: float    # mean of learned minus FPA sum rate, paired by episode seed
+    stderr: float
+    trusted: bool
+
+
 def validation_env_seeds(cfg: RunConfig, algo: str, m: int, seed: int) -> list[int]:
     """Held-out episodes of the baseline check: the training stream past its end.
 
@@ -252,6 +286,25 @@ def validation_env_seeds(cfg: RunConfig, algo: str, m: int, seed: int) -> list[i
     """
     first = cfg.plan.episodes
     return [train_env_seed(algo, m, seed, first + k) for k in range(VALIDATION_EPISODES)]
+
+
+def validate_policy(agent, env, seeds, z: float = CONFIDENCE_Z) -> Validation | None:
+    """Trust the agent's greedy policy only if it beats FPA with confidence.
+
+    ``seeds`` must be episodes the agent never trained on and that the
+    final evaluation does not use.  Returns None, at no episode's cost,
+    when no minibatch update ever ran.  The agent is left as it was.
+    """
+    if agent.updates == 0:
+        return None
+    fpa_rates = np.array([log.sum_rate(env.horizon)
+                          for log in FpaAgent(env).run_episodes(env, seeds)])
+    gains = np.array([log.sum_rate(env.horizon)
+                      for log in agent.run_episodes(env, seeds)]) - fpa_rates
+    mean = float(gains.mean())
+    stderr = float(gains.std(ddof=1) / math.sqrt(len(gains)))
+    return Validation(episodes=len(gains), mean_gain=mean, stderr=stderr,
+                      trusted=mean > z * stderr)
 
 
 def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
@@ -266,10 +319,11 @@ def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
 def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=None):
     """Train and evaluate one plan cell; fully deterministic given its seed.
 
-    ``fpa_evals`` maps (M, seed) to the evaluation logs of an agent that
-    acts as FPA.  Those episodes carry no algorithm, so a cell whose greedy
-    policy is FPA reuses an entry there, or fills it, instead of rolling
-    the same episodes again.
+    The cell evaluates with the agent itself, unless it is a network
+    learner that the check did not trust; then it evaluates with FPA.
+    ``fpa_evals`` maps (M, seed) to FPA's evaluation logs.  Those episodes
+    carry no algorithm, so a cell that evaluates with FPA reuses an entry
+    there, or fills it, instead of rolling the same episodes again.
     """
     env = build_env(cfg, m_antennas)
     hyper = replace(cfg.hyper, total_episodes=cfg.plan.episodes)
@@ -285,13 +339,16 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
     else:
         train_logs = [agent.run_episode(env, s, train=True, topology_seed=d)
                       for s, d in zip(seeds, drops)]
-    validation = None
-    if isinstance(agent, AnchoredAgent):
+    validation, evaluator = None, agent
+    if algo in CHECKED_ALGORITHMS:
         validation = validate_policy(agent, env,
                                      validation_env_seeds(cfg, algo, m_antennas, seed))
-    shared = fpa_evals if fpa_evals is not None and agent.greedy_policy == "fpa" else {}
+        if validation is None or not validation.trusted:
+            evaluator = FpaAgent(env)
+    is_fpa = isinstance(evaluator, FpaAgent)
+    shared = fpa_evals if fpa_evals is not None and is_fpa else {}
     if (m_antennas, seed) not in shared:
-        shared[(m_antennas, seed)] = agent.run_episodes(
+        shared[(m_antennas, seed)] = evaluator.run_episodes(
             env, [eval_env_seed(m_antennas, seed, e) for e in range(cfg.plan.eval_episodes)])
     eval_logs = shared[(m_antennas, seed)]
 
@@ -311,7 +368,7 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
         abort_rate=float(np.mean([log.aborted for log in eval_logs])),
         loss_series=loss_series,
         convergence_episode=convergence,
-        greedy_policy=agent.greedy_policy,
+        greedy_policy="fpa" if is_fpa else "learned",
         validation=None if validation is None else asdict(validation),
     )
     samples = metrics.SinrSampleSet(samples=eff_all, algorithm=algo,
@@ -321,7 +378,7 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
 
 def run_plan(cfg: RunConfig):
     """Execute every plan cell and write logs, metrics and checkpoints."""
-    cfg.plan.validate()
+    cfg.validate()
     out_dir = cfg.plan.output_dir
     os.makedirs(out_dir, exist_ok=True)
 

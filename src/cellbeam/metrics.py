@@ -40,7 +40,7 @@ class RunSummary:
     abort_rate: float
     loss_series: list = field(default_factory=list)
     convergence_episode: int | None = None
-    greedy_policy: str = "learned"      # "fpa" when a learner fell back to the baseline
+    greedy_policy: str = "learned"      # "fpa" when the cell evaluated FPA
     validation: dict | None = None      # the baseline check's outcome, when one ran
 
     def __post_init__(self):

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cellbeam import preset
+from cellbeam import harness, preset
 from cellbeam.agents import (AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent, HddpgAgent,
                              OrnsteinUhlenbeckNoise, QLearningAgent, ReplayBuffer,
-                             StateDiscretizer, Transition, fpa_power, make_agent, qlearning_update, validate_policy)
+                             StateDiscretizer, Transition, fpa_power, make_agent, qlearning_update)
 from cellbeam.agents.common import agent_stream, discrete_action_table
 from cellbeam.agents.ddpg import actor_policy_gradient, ddpg_train_step
 from cellbeam.environment import DownlinkEnv, SinrPolicy
@@ -363,7 +363,6 @@ def test_ddpg_act_bounds_and_noise():
 def test_ddpg_act_without_noise_draws_nothing():
     env = make_env(m=4)
     agent = DdpgAgent(env, small_hyper(noise_scale=0.0), seed=0)
-    agent.trusted = True
     s = env.reset(1)
     before = agent._noise_rng.bit_generator.state
     action = agent.act(s, explore=True)
@@ -374,7 +373,6 @@ def test_ddpg_act_without_noise_draws_nothing():
 def test_ddpg_ou_act_without_noise_draws_nothing():
     env = make_env(m=4)
     agent = DdpgAgent(env, small_hyper(use_ou_noise=True, noise_scale=0.0), seed=0)
-    agent.trusted = True
     s = env.reset(1)
     agent.begin_episode(s)
     before = agent._noise_rng.bit_generator.state
@@ -641,7 +639,7 @@ def test_qlearning_bootstraps_through_truncation_only():
     s = env.reset(0)
     for terminated, truncated, expected in ((False, True, 1.0 + 0.9 * 10.0),
                                             (True, False, 1.0)):
-        agent = QLearningAgent(env, small_hyper(), seed=0, lr=1.0)
+        agent = QLearningAgent(env, small_hyper(q_lr=1.0), seed=0)
         agent.act(s, explore=False)
         key = agent.discretizer.key(s)
         agent.table[key] = np.full(len(agent.actions), 10.0)
@@ -695,15 +693,25 @@ def test_ddpg_critic_sees_only_applicable_beam_inputs_at_one_antenna():
 
 
 @pytest.mark.parametrize("name", ["dqn", "ddpg", "hddpg"])
-def test_untrained_learner_acts_greedily_as_fpa(name):
-    env = make_env(m=4)
-    agent = make_agent(name, env, small_hyper(), seed=0)
-    fpa = FpaAgent(env)
+def test_untrained_learner_acts_greedily_as_fpa(name, tmp_path):
+    # one 10-step episode fills no minibatch: the check has no evidence, so
+    # the cell evaluates FPA
+    plan = harness.ExperimentPlan(algorithms=(name,), antenna_counts=(4,), seeds=(0,),
+                                  episodes=1, eval_episodes=3, output_dir=str(tmp_path))
+    cfg = harness.RunConfig(plan=plan, env=harness.EnvSettings(horizon=10))
+    agent, _, eval_logs, summary, _ = harness.run_cell(cfg, name, 4, 0)
+    assert agent.updates == 0 and summary.validation is None
+    assert summary.greedy_policy == "fpa"
+    env = harness.build_env(cfg, 4)
+    assert harness.validate_policy(agent, env, [1, 2], z=-1e9) is None
+    fpa_logs = FpaAgent(env).run_episodes(
+        env, [harness.eval_env_seed(4, 0, e) for e in range(3)])
+    for got, want in zip(eval_logs, fpa_logs, strict=True):
+        assert np.array_equal(got.actions, want.actions)
+        assert np.array_equal(got.eff_sinr_db, want.eff_sinr_db)
+    # the agent's own greedy act is not FPA's
     s = env.reset(0)
-    s[6:] = (2.0, 3.0)
-    assert agent.greedy_policy == "fpa"
-    assert np.array_equal(agent.act(s, explore=False), fpa.act(s))
-    assert validate_policy(agent, env, [1, 2], z=2.0) is None
+    assert not np.array_equal(agent.act(s, explore=False), FpaAgent(env).act(s))
 
 
 def test_validation_keeps_fpa_without_a_gain():
@@ -713,14 +721,30 @@ def test_validation_keeps_fpa_without_a_gain():
     # a learned policy that is FPA itself shows no gain and is not trusted
     agent.actor.forward = lambda x: np.ones(4) if np.ndim(x) == 1 else np.ones((len(x), 4))
     agent.scaler.high[:2] = env.scenario.max_bs_power_dbm
-    result = validate_policy(agent, env, [0, 1, 2], z=2.0)
-    assert not result.trusted and not agent.trusted
+    result = harness.validate_policy(agent, env, [0, 1, 2], z=2.0)
+    assert not result.trusted
     assert result.episodes == 3 and abs(result.mean_gain) < 1e-9
     # a drained policy is worse and stays untrusted even at a lenient z
     agent.actor.forward = lambda x: -np.ones(4)
-    result = validate_policy(agent, env, [0, 1, 2], z=0.0)
-    assert result.mean_gain < 0.0 and not agent.trusted
+    result = harness.validate_policy(agent, env, [0, 1, 2], z=0.0)
+    assert result.mean_gain < 0.0 and not result.trusted
     # the rule is mean gain > z standard errors, whatever the sign of z
-    result = validate_policy(agent, env, [0, 1, 2], z=-1e9)
+    result = harness.validate_policy(agent, env, [0, 1, 2], z=-1e9)
     assert result.stderr > 0.0 and result.trusted
-    assert agent.trusted and agent.greedy_policy == "learned"
+
+
+@pytest.mark.parametrize("name", ["dqn", "ddpg", "hddpg"])
+def test_validation_leaves_the_greedy_act_unchanged(name):
+    env = DownlinkEnv(preset("sub6"), m_antennas=4, horizon=5,
+                      policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=4))
+    agent = make_agent(name, env, small_hyper(), seed=0)
+    for e in range(3):
+        agent.run_episode(env, 100 + e, train=True)
+    assert agent.updates > 0
+    s = env.reset(0)
+    greedy = agent.act(s, explore=False)
+    assert not np.array_equal(greedy, FpaAgent(env).act(s))
+    # neither outcome of the check moves the agent's greedy act
+    for z, trusted in ((1e9, False), (-1e9, True)):
+        assert harness.validate_policy(agent, env, [1, 2, 3], z=z).trusted == trusted
+        assert np.array_equal(agent.act(s, explore=False), greedy)

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +255,7 @@ def test_untrained_learners_evaluate_exactly_as_fpa(tmp_path):
 
 
 def _count_eval_rollouts(monkeypatch, cfg):
-    """Patch the block rollout to record (agent name, greedy policy) per evaluation."""
+    """Patch the block rollout to record the name of the agent of each evaluation."""
     evals = {harness.eval_env_seed(m, seed, 0) for m in cfg.plan.antenna_counts
              for seed in cfg.plan.seeds}
     calls = []
@@ -263,11 +264,16 @@ def _count_eval_rollouts(monkeypatch, cfg):
     def counted(agent, env, seeds, topology_seeds=None):
         seeds = list(seeds)
         if seeds[0] in evals:
-            calls.append((agent.name, agent.greedy_policy))
+            calls.append(agent.name)
         return rollout(agent, env, seeds, topology_seeds)
 
     monkeypatch.setattr(BaseAgent, "run_episodes", counted)
     return calls
+
+
+def _trust_every_learner(monkeypatch):
+    trusted = harness.Validation(episodes=2, mean_gain=1.0, stderr=0.0, trusted=True)
+    monkeypatch.setattr(harness, "validate_policy", lambda agent, env, seeds: trusted)
 
 
 def test_plan_rolls_the_fpa_evaluation_once_per_cell_key(tmp_path, monkeypatch):
@@ -276,25 +282,24 @@ def test_plan_rolls_the_fpa_evaluation_once_per_cell_key(tmp_path, monkeypatch):
     calls = _count_eval_rollouts(monkeypatch, cfg)
     harness.run_plan(cfg)
     # one FPA rollout per (M, seed) serves dqn and ddpg; Q-learning rolls its own
-    assert calls == [("fpa", "fpa")] * 2 + [("qlearning", "learned")] * 2
+    assert calls == ["fpa"] * 2 + ["qlearning"] * 2
 
 
 def test_each_plan_rolls_its_own_evaluations(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "dqn"))
     calls = _count_eval_rollouts(monkeypatch, cfg)
     harness.run_plan(cfg)
-    assert calls == [("fpa", "fpa")]
+    assert calls == ["fpa"]
     harness.run_plan(cfg)
-    assert calls == [("fpa", "fpa")] * 2
+    assert calls == ["fpa"] * 2
 
 
 def test_a_trusted_learner_rolls_its_own_evaluation(tmp_path, monkeypatch):
     cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "ddpg", "hddpg"))
-    monkeypatch.setattr(harness, "validate_policy",
-                        lambda agent, env, seeds: setattr(agent, "trusted", True))
+    _trust_every_learner(monkeypatch)
     calls = _count_eval_rollouts(monkeypatch, cfg)
     summaries = harness.run_plan(cfg)
-    assert calls == [("fpa", "fpa"), ("ddpg", "learned"), ("hddpg", "learned")]
+    assert calls == ["fpa", "ddpg", "hddpg"]
     assert [s.greedy_policy for s in summaries] == ["fpa", "learned", "learned"]
     out = tmp_path / "out"
     fpa = (out / "fpa_m1_seed0_eval.csv").read_bytes()
@@ -309,8 +314,7 @@ def test_run_cell_shares_evaluation_logs_only_between_fpa_actors(tmp_path, monke
     assert harness.run_cell(cfg, "dqn", 1, 0, shared)[2] is fpa_logs
     assert harness.run_cell(cfg, "qlearning", 1, 0, shared)[2] is not fpa_logs
     assert harness.run_cell(cfg, "dqn", 1, 1, shared)[2] is shared[(1, 1)]
-    monkeypatch.setattr(harness, "validate_policy",
-                        lambda agent, env, seeds: setattr(agent, "trusted", True))
+    _trust_every_learner(monkeypatch)
     assert harness.run_cell(cfg, "ddpg", 1, 0, shared)[2] is not fpa_logs
     assert list(shared) == [(1, 0), (1, 1)]
 
@@ -452,8 +456,11 @@ _KEY_VALUES = {
     "actor_lr": st.none() | _UNIT_FLOATS,
     "power_step_db": _FLOAT_TUPLES,
     "q_power_step_db": _FLOAT_TUPLES,
+    # the action ranges need multiplier * M >= 1 and a cap (30 dBm at 1 W) above the floor
+    "bf_limit_multiplier": st.floats(1.0, 64.0),
+    "max_bs_power_w": st.floats(1.0, 100.0),
 }
-# every other key by its parser; floats in (0, 1) satisfy every range check
+# every other key by its parser; floats in (0, 1) satisfy every other range check
 _PARSER_VALUES = {int: st.integers(1, 10**6), float: _UNIT_FLOATS,
                   harness._parse_bool: st.booleans()}
 
@@ -518,15 +525,43 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
                      ("power_step_db", ""), ("q_power_step_db", ""), ("lr", "nan"),
                      ("q_lr", "nan"), ("noise_scale", "nan"), ("reward_scale", "nan"),
                      ("gamma_cutoff_db", "nan"), ("power_floor_dbm", "nan"),
-                     ("power_step_db", "1,nan"), ("cell_radius_m", "nan")):
+                     ("power_step_db", "1,nan"), ("cell_radius_m", "nan"),
+                     ("gamma0_db", "inf"), ("power_floor_dbm", "-inf"), ("pc_limit_db", "inf"),
+                     ("noise_scale", "inf"), ("ue_speed_kmh", "inf"),
+                     ("noise_power_dbm", "inf"), ("noise_power_dbm", "-inf"),
+                     ("actor_lr", "inf"), ("q_power_step_db", "3,-inf"),
+                     # action ranges whose top lies below the bottom at M=1
+                     ("pc_limit_db", "-5"), ("ic_limit_db", "-1"),
+                     ("bf_limit_multiplier", "-1"), ("bf_limit_multiplier", "0.5"),
+                     ("power_floor_dbm", "50")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key}={bad}\n")
         out = tmp_path / key
-        code = harness.main(["--config", str(path), "--algo", "fpa,qlearning,dqn",
+        code = harness.main(["--config", str(path), "--algo", "fpa,qlearning,dqn,ddpg,hddpg",
                              "--antennas", "1", "--episodes", "2", "--out", str(out)])
         assert code == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, bad", [("pc_limit_db", -5.0), ("bf_limit_multiplier", -1.0),
+                                      ("bf_limit_multiplier", 0.5), ("power_floor_dbm", 50.0)])
+def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key, bad):
+    section, attr, _ = harness.CONFIG_SCHEMA[key]
+    cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "ddpg"), antenna_counts=(1, 4))
+    with pytest.raises(ConfigurationError, match=key):
+        harness.run_plan(replace(cfg, **{section: replace(getattr(cfg, section),
+                                                         **{attr: bad})}))
+    assert not os.path.exists(cfg.plan.output_dir)
+
+
+def test_beam_bound_multiplier_below_one_is_accepted_with_enough_antennas(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("bf_limit_multiplier=0.5\n")
+    cfg = harness.parse_config(path, {"antennas": "4,8"})
+    assert harness.build_env(cfg, 4).action_high[2:].tolist() == [1.0, 1.0]
+    with pytest.raises(ConfigurationError, match="bf_limit_multiplier"):
+        harness.parse_config(path, {"antennas": "1,4"})
 
 
 def test_plan_rejects_empty_lists(tmp_path):

@@ -11,8 +11,8 @@ from cellbeam.agents import common
 from cellbeam.environment import DownlinkEnv, SinrPolicy
 from cellbeam.harness import VALID_ANTENNA_COUNTS
 
-# learners train a few episodes first; "_trusted" then acts on its learned policy
-AGENTS = ("fpa", "ddpg", "ddpg_trusted", "dqn_trusted", "hddpg_trusted", "qlearning")
+# learners train a few episodes first, then act on their learned policy
+AGENTS = ("fpa", "ddpg", "dqn", "hddpg", "qlearning")
 FIELDS = ("states", "actions", "rewards", "losses", "eff_sinr_db", "powers_dbm",
           "norm_power", "beam_indices")
 
@@ -27,14 +27,13 @@ def _agent(kind, env):
         return FpaAgent(env)
     hyper = AgentHyperparams(batch_size=8, meta_batch_size=8, controller_batch_size=8,
                              replay_capacity=200, total_episodes=3)
-    agent = make_agent(kind.split("_")[0], env, hyper, seed=5)
+    agent = make_agent(kind, env, hyper, seed=5)
     # the ranges an agent reads from its env do not depend on horizon or cutoff
     trainer = _env(env.m_antennas, 12, -30.0)
     for e in range(3):
         agent.run_episode(trainer, 1000 + e, train=True)
-    if kind.endswith("_trusted"):
-        assert agent.updates > 0
-        agent.trusted = True
+    # a network learner acts on weights that training moved
+    assert kind == "qlearning" or agent.updates > 0
     return agent
 
 
@@ -78,7 +77,7 @@ def test_set_over_the_byte_budget_splits_into_blocks(monkeypatch):
     monkeypatch.setattr(env, "start", lambda seeds, drops: starts.append(len(seeds))
                         or start(seeds, drops))
     seeds = list(range(40, 50))
-    for kind in ("fpa", "ddpg_trusted"):
+    for kind in ("fpa", "ddpg"):
         agent = _agent(kind, env)
         starts.clear()
         block = agent.run_episodes(env, seeds)
