@@ -15,17 +15,13 @@ ALGORITHMS = ("fpa", "qlearning", "dqn", "ddpg", "hddpg")
 
 def make_agent(name: str, env, hyper: AgentHyperparams, seed: int) -> BaseAgent:
     """Instantiate one of the five policies for a given environment."""
+    learners = {"qlearning": QLearningAgent, "dqn": DqnAgent, "ddpg": DdpgAgent,
+                "hddpg": HddpgAgent}
     if name == "fpa":
         return FpaAgent(env)
-    if name == "qlearning":
-        return QLearningAgent(env, hyper, seed)
-    if name == "dqn":
-        return DqnAgent(env, hyper, seed)
-    if name == "ddpg":
-        return DdpgAgent(env, hyper, seed)
-    if name == "hddpg":
-        return HddpgAgent(env, hyper, seed)
-    raise ConfigurationError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    if name not in learners:
+        raise ConfigurationError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    return learners[name](env, hyper, seed)
 
 __all__ = [
     "ALGORITHMS", "ActionScaler", "AgentHyperparams", "BaseAgent", "DdpgAgent",

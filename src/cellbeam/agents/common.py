@@ -10,10 +10,11 @@ from ..beamcode import step_beam
 from ..errors import ConfigurationError, ContractViolation, reject_nonfinite
 from ..metrics import sum_rate
 
-# Bytes that a lockstep block may hold in its episodes' steering tensors
-# and frame logs: 14 episodes at M=64 (15 paths, horizon 50), a whole
-# 50-episode set at M <= 16 and horizon 20.
-BLOCK_BYTES = 1 << 20
+# Bytes that a lockstep block may hold in its episodes' steering tensors,
+# channel traces (the draws for the whole horizon and one chunk of derived
+# frames) and frame logs: 15 episodes at M=64 (15 paths, horizon 50), a
+# whole 50-episode set at M <= 4 and horizon 20.
+BLOCK_BYTES = 1 << 21
 
 
 @dataclass
@@ -38,8 +39,7 @@ class ReplayBuffer:
     def __init__(self, capacity: int, rng: np.random.Generator):
         if capacity < 1:
             raise ConfigurationError("replay capacity must be >= 1")
-        self.capacity = capacity
-        self.rng = rng
+        self.capacity, self.rng = capacity, rng
         self._arrays: list[np.ndarray] = []
         self._pushes = 0
 
@@ -161,9 +161,7 @@ class OrnsteinUhlenbeckNoise:
     """Temporally correlated exploration noise (selectable alternative)."""
 
     def __init__(self, size: int, theta: float = 0.15, dt: float = 1.0):
-        self.theta = theta
-        self.dt = dt
-        self.state = np.zeros(size)
+        self.theta, self.dt, self.state = theta, dt, np.zeros(size)
 
     def reset(self) -> None:
         self.state[:] = 0.0
@@ -185,7 +183,7 @@ def discrete_action_table(power_step_db=(1.0, 3.0), codebook_size: int = 2) -> l
     to one direction, shrinking the joint table fourfold.
     """
     steps = sorted(set(abs(float(s)) for s in power_step_db), reverse=True)
-    deltas = [s for s in steps] + [-s for s in reversed(steps)]
+    deltas = steps + [-s for s in reversed(steps)]
     dirs = [1] if codebook_size == 1 else [1, -1]
     return [(dp_l, dp_b, db_l, db_b)
             for dp_l in deltas for dp_b in deltas for db_l in dirs for db_b in dirs]
@@ -216,9 +214,7 @@ class EpisodeLog:
 
     @property
     def mean_loss(self) -> float:
-        if np.all(np.isnan(self.losses)):
-            return float("nan")
-        return float(np.nanmean(self.losses))
+        return float("nan") if np.all(np.isnan(self.losses)) else float(np.nanmean(self.losses))
 
     def sum_rate(self, horizon: int) -> float:
         """Sum rate over the horizon; frames after an abort deliver zero rate."""
@@ -233,10 +229,12 @@ _FRAME_FIELDS = {"states": ((8,), float), "actions": ((4,), float), "rewards": (
 
 
 def block_size(env) -> int:
-    """Episodes per lockstep block: as many as BLOCK_BYTES of their largest arrays allow."""
-    steering = 4 * env.scenario.n_paths * env.m_antennas * np.dtype(complex).itemsize
+    """Episodes per lockstep block: as many as BLOCK_BYTES of their arrays allow."""
+    links, t, c = 4 * env.scenario.n_paths, env.horizon, env.chunk_frames   # (BS, UE, path)s
+    # complex: steering, drawn normals, a chunk's normals and gains; float: turns and the rest
+    trace = 16 * links * (env.m_antennas + t + 1 + 2 * c) + 8 * (2 * t + links + 10 * c)
     frame = sum(8 * int(np.prod(shape)) for shape, _ in _FRAME_FIELDS.values())
-    return max(1, BLOCK_BYTES // (steering + (env.horizon + 1) * frame))
+    return max(1, BLOCK_BYTES // (trace + (t + 1) * frame))
 
 
 class _Frames:
@@ -407,8 +405,7 @@ class ActionScaler:
     """
 
     def __init__(self, low: np.ndarray, high: np.ndarray):
-        self.low = np.asarray(low, dtype=float)
-        self.high = np.asarray(high, dtype=float)
+        self.low, self.high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
         span = self.high - self.low
         self.fixed = ~(span > 0.0)
         self.span = np.where(self.fixed, 1.0, span)

@@ -100,8 +100,7 @@ class DdpgAgent(BaseAgent):
                          rng=init_rng, final_layer_scale=hyper.final_layer_scale)
         self.critic = Mlp([8 + n_actions] + hidden + [1], rng=init_rng,
                           final_layer_scale=hyper.final_layer_scale)
-        self.target_actor = self.actor.copy()
-        self.target_critic = self.critic.copy()
+        self.target_actor, self.target_critic = self.actor.copy(), self.critic.copy()
         actor_lr = hyper.lr if hyper.actor_lr is None else hyper.actor_lr
         self.actor_opt = AdamOptimizer(self.actor, lr=actor_lr,
                                        weight_decay=hyper.actor_weight_decay)

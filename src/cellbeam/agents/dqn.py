@@ -35,8 +35,7 @@ class DqnAgent(DiscreteAgent):
                              final_layer_scale=hyper.final_layer_scale)
         self.adv_net = Mlp([8] + hidden + [len(self.actions)], rng=init_rng,
                            final_layer_scale=hyper.final_layer_scale)
-        self.target_value_net = self.value_net.copy()
-        self.target_adv_net = self.adv_net.copy()
+        self.target_value_net, self.target_adv_net = self.value_net.copy(), self.adv_net.copy()
         self.value_opt = AdamOptimizer(self.value_net, lr=hyper.lr)
         self.adv_opt = AdamOptimizer(self.adv_net, lr=hyper.lr,
                                      weight_decay=hyper.critic_weight_decay)

@@ -32,8 +32,7 @@ class FpaAgent(BaseAgent):
 
     def __init__(self, env):
         # all 100 resource blocks allocated: the full power cap
-        raw = fpa_power(env.scenario, 100, 100)
-        self.power_dbm = float(np.clip(raw, env.power_floor_dbm,
+        self.power_dbm = float(np.clip(fpa_power(env.scenario, 100, 100), env.power_floor_dbm,
                                        env.scenario.max_bs_power_dbm))
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:

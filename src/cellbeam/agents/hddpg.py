@@ -34,8 +34,7 @@ class HddpgAgent(BaseAgent):
         self.meta = DdpgAgent(env, hyper, meta_seed, batch_size=hyper.meta_batch_size)
         self.meta.name = "hddpg_meta"
         self.controller.name = "hddpg_controller"
-        self._goal = None
-        self._window_start = None
+        self._goal = self._window_start = None
         self._window_rewards: list[float] = []
 
     # the controller is the acting policy, so its updates are the ones a check weighs

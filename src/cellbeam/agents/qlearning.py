@@ -22,8 +22,7 @@ def qlearning_update(table: dict, s, a: int, r: float, s_next, lr: float,
         return table
     row = table.get(s)
     if row is None:
-        row = np.zeros(n_actions)
-        table[s] = row
+        row = table[s] = np.zeros(n_actions)
     next_row = table.get(s_next)
     bootstrap = 0.0 if done or next_row is None else float(next_row.max())
     row[a] += lr * (r + discount * bootstrap - row[a])

@@ -11,7 +11,7 @@ exact same trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -42,11 +42,6 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def thermal_noise_dbm(bandwidth_hz: float, density_dbm_per_hz: float = -174.0) -> float:
-    """Thermal noise power over a bandwidth, from a flat spectral density."""
-    return density_dbm_per_hz + 10.0 * math.log10(bandwidth_hz)
-
-
 @dataclass
 class Scenario:
     """Static radio parameters of one simulated deployment.
@@ -62,22 +57,20 @@ class Scenario:
     p_los: float = 0.8
     ue_speed_kmh: float = 5.0
     frame_duration_s: float = 0.01
-    noise_power_dbm: float = thermal_noise_dbm(10e6)
+    noise_power_dbm: float = -174.0 + 10.0 * math.log10(10e6)   # thermal, -174 dBm/Hz
     tx_antenna_gain_dbi: float = 3.0
     max_bs_power_w: float = 40.0
 
     def __post_init__(self):
         reject_nonfinite(self)
-        if self.cell_radius_m <= 0 or self.inter_site_distance_m <= 0:
-            raise ConfigurationError("cell radius and inter-site distance must be positive")
+        for name in ("cell_radius_m", "inter_site_distance_m", "carrier_freq_hz",
+                     "frame_duration_s", "max_bs_power_w"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
         if not 0.0 <= self.p_los <= 1.0:
             raise ConfigurationError("p_los must lie in [0, 1]")
         if self.n_paths < 1:
             raise ConfigurationError("n_paths must be >= 1")
-        if self.carrier_freq_hz <= 0 or self.frame_duration_s <= 0:
-            raise ConfigurationError("carrier frequency and frame duration must be positive")
-        if self.max_bs_power_w <= 0:
-            raise ConfigurationError("max_bs_power_w must be positive")
         if self.ue_speed_kmh < 0:
             raise ConfigurationError("ue_speed_kmh must be >= 0")
 
@@ -109,32 +102,27 @@ def preset(name: str, **overrides) -> Scenario:
     if name not in SCENARIO_PRESETS:
         raise ConfigurationError(
             f"unknown scenario preset {name!r}; choose from {sorted(SCENARIO_PRESETS)}")
-    params = dict(SCENARIO_PRESETS[name])
-    params.update(overrides)
-    return Scenario(**params)
+    return Scenario(**{**SCENARIO_PRESETS[name], **overrides})
 
 
 @dataclass
 class Topology:
-    """BS/UE geometry plus the fixed UE -> serving BS assignment.
-
-    UE arrays may lead with an episode axis (``...``): row b is episode b.
-    """
+    """BS/UE geometry plus the fixed UE -> serving BS map; UE arrays may lead with more axes."""
 
     bs_positions: np.ndarray        # (L, 2) metres
     ue_positions: np.ndarray        # (..., U, 2) metres
     serving_map: np.ndarray         # (U,) BS index per UE
     ue_headings: np.ndarray         # (..., U) radians, mobility direction
     num_bs: int
-    ues_per_bs: int
 
     @property
     def num_ues(self) -> int:
         return self.serving_map.shape[0]
 
-    def serving_distance_m(self, ue: int) -> float:
+    def serving_distance_m(self, ue: int):
+        """UE ``ue``'s distance to its serving BS; one per episode on a block."""
         bs = self.bs_positions[self.serving_map[ue]]
-        return float(np.linalg.norm(self.ue_positions[ue] - bs))
+        return np.linalg.norm(self.ue_positions[..., ue, :] - bs, axis=-1)
 
 
 def init_topology(scenario: Scenario, num_bs: int, ues_per_bs: int, seed) -> Topology:
@@ -156,53 +144,53 @@ def init_topology(scenario: Scenario, num_bs: int, ues_per_bs: int, seed) -> Top
     radii = disc_radius * np.sqrt(rng.random(total))
     angles = rng.uniform(0.0, 2.0 * math.pi, total)
     offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    ue = bs[serving] + offsets
     headings = rng.uniform(0.0, 2.0 * math.pi, total)
-    return Topology(bs_positions=bs, ue_positions=ue, serving_map=serving,
-                    ue_headings=headings, num_bs=num_bs, ues_per_bs=ues_per_bs)
-
-
-def _per_stream(rng, draw):
-    """``draw(rng)``, or for an array of per-episode generators each one's draw stacked."""
-    if isinstance(rng, np.random.Generator):
-        return draw(rng)
-    return np.stack([draw(g) for g in rng])
+    return Topology(bs_positions=bs, ue_positions=bs[serving] + offsets, serving_map=serving,
+                    ue_headings=headings, num_bs=num_bs)
 
 
 def step_mobility(topology: Topology, scenario: Scenario, rng) -> Topology:
-    """Advance each UE one frame along a randomly turning heading.
+    """Advance each UE along a randomly turning heading.
 
-    Per step a UE turns by a uniform angle in [-MAX_TURN_RAD, MAX_TURN_RAD]
+    Per frame a UE turns by a uniform angle in [-MAX_TURN_RAD, MAX_TURN_RAD]
     and moves speed * frame_duration metres.  A UE crossing its serving
     disc boundary is folded back inside and its heading mirrored on the
-    boundary tangent, so no UE ever leaves its disc.  With an episode axis,
-    ``rng`` holds one generator per episode.
+    boundary tangent, so no UE ever leaves its disc.  ``rng`` draws one
+    frame's turns; turns drawn before, (n, ..., U), walk n frames, and the
+    UE arrays of the result then lead with that frame axis.
     """
+    drawn = isinstance(rng, np.ndarray)
+    turns = rng if drawn else rng.uniform(-MAX_TURN_RAD, MAX_TURN_RAD, (1, topology.num_ues))
     step_len = scenario.ue_speed_mps * scenario.frame_duration_s
-    turns = _per_stream(rng, lambda g: g.uniform(-MAX_TURN_RAD, MAX_TURN_RAD,
-                                                  topology.num_ues))
-    headings = np.mod(topology.ue_headings + turns, 2.0 * math.pi)
-    direction = np.empty(headings.shape + (2,))
-    direction[..., 0], direction[..., 1] = np.cos(headings), np.sin(headings)
-    pos = topology.ue_positions + step_len * direction
-
-    disc_radius = scenario.cell_radius_m / 2.0
-    centers = topology.bs_positions[topology.serving_map]
-    rel = pos - centers
-    dist = np.sqrt((rel * rel).sum(axis=-1))
-    outside = dist > disc_radius
-    if outside.any():
-        centers = np.broadcast_to(centers, pos.shape)
+    radius, centers = scenario.cell_radius_m / 2.0, topology.bs_positions[topology.serving_map]
+    pos, headings, t = topology.ue_positions, topology.ue_headings, 0
+    walked, heads = np.empty(turns.shape + (2,)), np.empty(turns.shape)
+    while t < len(turns):
+        # headings wrap into [0, 2 pi) frame by frame; the moves add up in one cumsum
+        for k in range(t, len(turns)):
+            headings = heads[k] = np.mod(headings + turns[k], 2.0 * math.pi)
+        moves = np.empty(heads[t:].shape + (2,))
+        moves[..., 0], moves[..., 1] = np.cos(heads[t:]), np.sin(heads[t:])
+        moves *= step_len
+        moves[0] += pos
+        rel = np.cumsum(moves, axis=0, out=walked[t:]) - centers
+        dist = np.sqrt((rel * rel).sum(axis=-1))
+        outside = dist > radius
+        if not outside.any():
+            break
+        # fold the first frame with a crossing, then walk on from it
+        f = int(np.argmax(outside.reshape(len(outside), -1).any(axis=1)))
+        pos, headings, rel, dist, outside = walked[t + f], heads[t + f], rel[f], dist[f], outside[f]
         unit = rel[outside] / dist[outside][:, None]
-        folded = np.clip(2.0 * disc_radius - dist[outside], 0.0, disc_radius)
-        pos[outside] = centers[outside] + unit * folded[:, None]
+        folded = np.clip(2.0 * radius - dist[outside], 0.0, radius)
+        pos[outside] = np.broadcast_to(centers, pos.shape)[outside] + unit * folded[:, None]
         # mirror the velocity on the tangent: v' = v - 2 (v.u) u
         vel = np.stack([np.cos(headings[outside]), np.sin(headings[outside])], axis=1)
         vel -= 2.0 * np.sum(vel * unit, axis=1, keepdims=True) * unit
         headings[outside] = np.mod(np.arctan2(vel[:, 1], vel[:, 0]), 2.0 * math.pi)
-
-    return Topology(topology.bs_positions, pos, topology.serving_map, headings,
-                    topology.num_bs, topology.ues_per_bs)
+        t += f + 1
+    return replace(topology, ue_positions=walked if drawn else walked[0],
+                   ue_headings=heads if drawn else heads[0])
 
 
 def pathloss_db(distance_m, carrier_freq_hz: float, p_los: float = 1.0) -> np.ndarray:
@@ -239,43 +227,51 @@ def doppler_correlation(scenario: Scenario) -> float:
 class ChannelState:
     """Evolving multipath state for every (BS, UE) link.
 
-    `vectors` holds the composite channel h for each link, (L, U, M)
-    complex.  Path angles and the LOS flag are drawn once per episode;
-    the complex path gains evolve as an AR(1) process between frames.
-    Because the angles stay fixed, the steering vectors built from them at
-    the first draw are kept in `steering`, so a state stays bound to the
-    array of its first draw.  With an array of generators in `rng`, one
-    per episode, every array carries that leading episode axis.
+    Path angles and LOS flags are drawn once per episode, and the steering
+    vectors built from them at the first draw stay in `steering`; path
+    gains evolve as AR(1) between frames.  `rng` is the state's generator;
+    a trace drawn before has none (see ``draw_channels``).
     """
 
-    rng: np.random.Generator | np.ndarray   # or one generator per episode
+    rng: np.random.Generator | None
     vectors: np.ndarray | None = None       # (..., L, U, M) complex
     path_angles: np.ndarray | None = None   # (..., L, U, P) radians
     path_gains: np.ndarray | None = None    # (..., L, U, P) complex
+    amplitude: np.ndarray | None = None     # (..., L, U) sqrt(PL_lin * G_lin / N_p)
     los: np.ndarray | None = None           # (..., L, U) bool
     rho: float = field(default=0.0)
     steering: np.ndarray | None = field(default=None, repr=False)  # (..., L, U, P, M) complex
-
-    def take(self, rows) -> ChannelState:
-        """The episodes at ``rows`` of a state with an episode axis."""
-        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)
-                                if isinstance(getattr(self, f.name), np.ndarray)})
 
 
 def new_channel_state(seed) -> ChannelState:
     return ChannelState(rng=np.random.default_rng(seed))
 
 
-def _complex_normal(rng, shape) -> np.ndarray:
-    """Unit-power circular Gaussians; each generator draws all real parts, then all imaginary."""
-    parts = (rng.standard_normal((2,) + shape) if isinstance(rng, np.random.Generator)
-             else np.stack([g.standard_normal((2,) + shape) for g in rng], axis=1))
-    return (parts[0] + 1j * parts[1]) / math.sqrt(2.0)
+def draw_paths(rng: np.random.Generator, scenario: Scenario, shape) -> tuple:
+    """Path angles (L, U, P) and LOS flags (L, U) of one episode's links, in draw order."""
+    return rng.uniform(0.0, math.pi, shape), rng.random(shape[:2]) < scenario.p_los
 
 
-def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int,
-                  state: ChannelState, spacing_in_wavelengths: float = 0.5) -> ChannelState:
-    """Advance the fading state one frame and rebuild all channel vectors.
+def _fade(gains, normals: np.ndarray, rho: float, los: np.ndarray) -> np.ndarray:
+    """Path gains over the frames of ``normals``: AR(1) steps on from ``gains``, if any.
+
+    Without ``gains`` the first frame is the stationary draw.  Paths fade
+    independently, so pinning LOS first paths after the recursion is exact.
+    """
+    out = normals[1] * 1j     # unit-power circular Gaussians, formed in place
+    out += normals[0]
+    out /= math.sqrt(2.0)
+    first, gains = (1, out[0]) if gains is None else (0, gains)
+    out[first:] *= math.sqrt(1.0 - rho * rho)
+    for k in range(first, len(out)):
+        gains = out[k] = rho * gains + out[k]
+    out[:, los, 0] = 1.0 + 0.0j
+    return out
+
+
+def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int, state: ChannelState,
+                  spacing_in_wavelengths: float = 0.5, normals=None) -> ChannelState:
+    """Advance the fading state and rebuild all channel vectors.
 
     Each link's channel is
 
@@ -283,39 +279,43 @@ def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int,
 
     with a(.) the unit-norm steering vector, theta_p fixed within the
     episode, and alpha_p AR(1) complex Gaussian except that a LOS link's
-    first path stays pinned at 1.  The first call on a fresh state draws
-    angles, LOS flags and stationary gains, and builds the steering
-    vectors; each episode draws from its own generator in that order.
+    first path stays pinned at 1.  A fresh state draws angles and LOS
+    flags (``draw_paths``) and stationary gains; each later call draws one
+    frame's innovations.  Unit ``normals`` drawn before, (2, n, ..., L, U,
+    P) real parts then imaginary, advance n frames instead, on a topology
+    whose UE arrays lead with those n frames: gains and amplitudes keep
+    that frame axis, for ``channel_vectors`` frame by frame.
     """
     if m_antennas < 1:
         raise ConfigurationError("m_antennas must be >= 1")
-    num_bs, num_ues, n_paths = topology.num_bs, topology.num_ues, scenario.n_paths
-    shape = (num_bs, num_ues, n_paths)
-
-    if state.path_gains is None:
-        state.path_angles = _per_stream(state.rng, lambda g: g.uniform(0.0, math.pi, shape))
-        state.los = _per_stream(state.rng, lambda g: g.random(shape[:2]) < scenario.p_los)
-        state.path_gains = _complex_normal(state.rng, shape)
-        state.path_gains[state.los, 0] = 1.0 + 0.0j
+    shape = (topology.num_bs, topology.num_ues, scenario.n_paths)
+    if state.path_angles is None:
+        state.path_angles, state.los = draw_paths(state.rng, scenario, shape)
+    if state.steering is None:
         state.rho = doppler_correlation(scenario)
         state.steering = steering_matrix(state.path_angles, m_antennas, spacing_in_wavelengths)
-    else:
-        if state.steering.shape[-1] != m_antennas:
-            raise ContractViolation("a channel state keeps the antenna count of its first draw")
-        innovation = _complex_normal(state.rng, shape)
-        rho = state.rho
-        state.path_gains = rho * state.path_gains + math.sqrt(1.0 - rho * rho) * innovation
-        state.path_gains[state.los, 0] = 1.0 + 0.0j
-
-    offsets = topology.bs_positions[:, None, :] - topology.ue_positions[..., None, :, :]
+    elif state.steering.shape[-1] != m_antennas:
+        raise ContractViolation("a channel state keeps the antenna count of its first draw")
+    drawn = normals is not None
+    gains = _fade(state.path_gains, normals if drawn
+                  else state.rng.standard_normal((2, 1) + shape), state.rho, state.los)
+    positions = topology.ue_positions if drawn else topology.ue_positions[None]
+    offsets = topology.bs_positions[:, None, :] - positions[..., None, :, :]
     dists = np.sqrt((offsets * offsets).sum(axis=-1))
     pl_lin = db_to_linear(-pathloss_db(dists, scenario.carrier_freq_hz, scenario.p_los))
-    gain_lin = db_to_linear(scenario.tx_antenna_gain_dbi)
-    amplitude = np.sqrt(pl_lin * gain_lin / n_paths)
-
-    state.vectors = amplitude[..., None] * np.einsum(
-        "...lupm,...lup->...lum", state.steering, state.path_gains)
+    state.path_gains, state.amplitude = gains, np.sqrt(
+        pl_lin * db_to_linear(scenario.tx_antenna_gain_dbi) / scenario.n_paths)
+    if not drawn:
+        state.path_gains, state.amplitude = gains[0], state.amplitude[0]
+        state.vectors = channel_vectors(state)
     return state
+
+
+def channel_vectors(state: ChannelState, frame=...) -> np.ndarray:
+    """Channel vectors (..., L, U, M) of the state, or of its ``frame`` along a frame axis."""
+    vectors = np.einsum("...lupm,...lup->...lum", state.steering, state.path_gains[frame])
+    vectors *= state.amplitude[frame][..., None]
+    return vectors
 
 
 def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarray,
@@ -325,12 +325,14 @@ def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarr
     SINR_u = P_serv |h_serv^T f_serv|^2 /
              (sum_{b != serv} P_b |h_b^T f_b|^2 + noise)
 
-    Powers (..., L) and beams (..., L, M) carry the state's episode axes.
+    ``state`` is a ChannelState or its channel vectors (..., L, U, M);
+    powers (..., L) and beams (..., L, M) carry their episode axes.
     """
-    if state.vectors is None:
+    vectors = state.vectors if isinstance(state, ChannelState) else state
+    if vectors is None:
         raise ContractViolation("draw_channels must run before compute_sinr")
     powers_w = np.asarray(powers_w, dtype=float)
-    if powers_w.shape != state.vectors.shape[:-2]:
+    if powers_w.shape != vectors.shape[:-2]:
         raise ContractViolation("one transmit power per base station is required")
     if (powers_w < 0.0).any():
         raise ContractViolation("transmit powers must be non-negative")
@@ -340,7 +342,7 @@ def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarr
     beam_vectors = np.asarray(beam_vectors)
     # plain transpose product: the receive model uses h^T f
     rx = powers_w[..., None] * np.abs(
-        np.einsum("...lum,...lm->...lu", state.vectors, beam_vectors)) ** 2
+        np.einsum("...lum,...lm->...lu", vectors, beam_vectors)) ** 2
     signal = rx[..., topology.serving_map, np.arange(topology.num_ues)]
     interference = rx.sum(axis=-2) - signal
     return signal / (interference + scenario.noise_power_w)

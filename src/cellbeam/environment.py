@@ -65,8 +65,7 @@ class StepOutcome:
 
 def hierarchical_reward(step_reward: float, goal, action, weight: float = 1.0) -> float:
     """Environment reward minus the summed absolute goal-action deviation."""
-    goal = np.asarray(goal, dtype=float)
-    action = np.asarray(action, dtype=float)
+    goal, action = np.asarray(goal, dtype=float), np.asarray(action, dtype=float)
     if goal.shape != action.shape:
         raise ContractViolation("goal and action must have the same arity")
     return float(step_reward - weight * np.abs(goal - action).sum())
@@ -88,9 +87,7 @@ class DownlinkEnv:
                  power_span_db=40.0, bf_limit_multiplier: float = 1.0):
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        self.scenario = scenario
-        self.m_antennas = int(m_antennas)
-        self.horizon = int(horizon)
+        self.scenario, self.m_antennas, self.horizon = scenario, int(m_antennas), int(horizon)
         self.codebook = build_codebook(self.m_antennas)    # half-wavelength spacing
         self.policy = policy or SinrPolicy(m_antennas=self.m_antennas)
         if self.policy.m_antennas != self.m_antennas:
@@ -104,7 +101,7 @@ class DownlinkEnv:
             raise ConfigurationError("power_floor_dbm exceeds the maximum transmit power")
         if self.bf_limit < 0.0:
             raise ConfigurationError(f"bf_limit_multiplier must be >= 1/M = 1/{self.m_antennas}")
-        self.topology = self.channel_state = None
+        self._frames = self.channel_state = None
         self._done = True
 
     # -- action/state ranges ------------------------------------------------
@@ -120,46 +117,66 @@ class DownlinkEnv:
 
     @property
     def state_low(self) -> np.ndarray:
-        r = self.scenario.cell_radius_m / 2.0
-        c0, c1 = self.topology_centers()
-        return np.array([c0[0] - r, c0[1] - r, c1[0] - r, c1[1] - r,
-                         self.power_floor_dbm, self.power_floor_dbm, 0.0, 0.0])
+        r, isd = self.scenario.cell_radius_m / 2.0, self.scenario.inter_site_distance_m
+        return np.array([-r, -r, isd - r, -r, self.power_floor_dbm, self.power_floor_dbm, 0.0, 0.0])
 
     @property
     def state_high(self) -> np.ndarray:
-        r = self.scenario.cell_radius_m / 2.0
-        c0, c1 = self.topology_centers()
-        cap = self.scenario.max_bs_power_dbm
-        nmax = float(self.codebook.size - 1)
-        return np.array([c0[0] + r, c0[1] + r, c1[0] + r, c1[1] + r,
-                         cap, cap, nmax, nmax])
-
-    def topology_centers(self):
-        isd = self.scenario.inter_site_distance_m
-        return np.array([0.0, 0.0]), np.array([isd, 0.0])
+        r, isd = self.scenario.cell_radius_m / 2.0, self.scenario.inter_site_distance_m
+        cap, nmax = self.scenario.max_bs_power_dbm, float(self.codebook.size - 1)
+        return np.array([r, r, isd + r, r, cap, cap, nmax, nmax])
 
     # -- episode API ---------------------------------------------------------
+
+    @property
+    def chunk_frames(self) -> int:
+        """Frames derived at a time after frame 0: ceil(sqrt(horizon)) bounds the unreached ones."""
+        return math.isqrt(self.horizon - 1) + 1
+
+    @property
+    def topology(self) -> chan.Topology:
+        """The current frame's geometry."""
+        k, frames = self._t - self._t0, self._frames
+        return replace(frames, ue_positions=frames.ue_positions[k],
+                       ue_headings=frames.ue_headings[k])
 
     def start(self, seeds, topology_seeds=None) -> np.ndarray:
         """Start one episode per seed as a lockstep block; returns the (B, 8) states.
 
         Episode b draws what ``reset(seeds[b], topology_seeds[b])`` would, in
-        the same order, from its own streams.
+        the same order, from its own streams, all of it for the whole horizon
+        here; ``advance`` derives the frames a chunk at a time and draws nothing.
         """
-        drops, mobility, fading = zip(*map(self._streams, seeds,
-                                           topology_seeds or [None] * len(seeds)))
-        topology = replace(drops[0], ue_positions=np.stack([d.ue_positions for d in drops]),
-                           ue_headings=np.stack([d.ue_headings for d in drops]))
-        self._done = True   # step() plays only an episode that reset() opened
-        return self._begin(topology, np.array(mobility), np.array(fading))
+        b = len(seeds)
+        self._normals = None    # the last block's draws go before this block's come
+        self._normals = np.empty((2, self.horizon + 1, b, 2, 2, self.scenario.n_paths))
+        drops, paths, turns = zip(*map(self._streams, seeds, topology_seeds or [None] * b,
+                                       self._normals.swapaxes(0, 2)))
+        self._frames = replace(drops[0], ue_headings=np.stack([d.ue_headings for d in drops])[None],
+                               ue_positions=np.stack([d.ue_positions for d in drops])[None])
+        self._turns, self._rows = np.stack(turns, axis=1), np.arange(b)   # (T, B, U)
+        angles, los = map(np.stack, zip(*paths))
+        self.channel_state = chan.draw_channels(
+            self._frames, self.scenario, self.m_antennas,
+            chan.ChannelState(None, path_angles=angles, los=los),
+            self.codebook.spacing_in_wavelengths, self._normals[:, :1])
+        # start both BSs 3 dB below the power cap, beams at index 0
+        self._powers_dbm = np.full((b, 2), self.scenario.max_bs_power_dbm - 3.0)
+        self._beams = np.zeros((b, 2), dtype=int)
+        self._t, self._t0, self._done = 0, 0, True   # step() plays only what reset() opened
+        return self._observe()
 
     def keep(self, rows) -> None:
-        """Drop every episode of the block but those at ``rows``; they stop drawing."""
-        self.topology = replace(self.topology, ue_positions=self.topology.ue_positions[rows],
-                                ue_headings=self.topology.ue_headings[rows])
-        self.channel_state = self.channel_state.take(rows)
-        self._mobility = self._mobility[rows]
-        self._powers_dbm, self._beams = self._powers_dbm[rows], self._beams[rows]
+        """Drop every episode of the block but those at ``rows``."""
+        frames, state = self._frames, self.channel_state
+        self._frames = replace(frames, ue_positions=frames.ue_positions[:, rows],
+                               ue_headings=frames.ue_headings[:, rows])
+        self.channel_state = replace(
+            state, path_angles=state.path_angles[rows], los=state.los[rows],
+            steering=state.steering[rows], path_gains=state.path_gains[:, rows],
+            amplitude=state.amplitude[:, rows])
+        self._rows, self._powers_dbm, self._beams = (
+            self._rows[rows], self._powers_dbm[rows], self._beams[rows])
 
     def reset(self, seed: int, topology_seed: int | None = None) -> np.ndarray:
         """Start a fresh episode: new geometry, fading state and controls.
@@ -167,30 +184,39 @@ class DownlinkEnv:
         ``topology_seed`` takes the initial UE drop from another seed's
         stream (``reset(s, topology_seed=t)`` starts from the same UE
         positions and headings as ``reset(t)``) while mobility and fading
-        still come from ``seed``.  The episode's arrays have no episode axis.
+        still come from ``seed``.
         """
+        state = self.start([seed], [topology_seed])[0]
         self._done = False
-        return self._begin(*self._streams(seed, topology_seed))
+        return state
 
-    def _streams(self, seed, topology_seed):
-        """One episode's UE drop and its mobility and fading generators."""
+    def _streams(self, seed, topology_seed, normals):
+        """One episode's UE drop, turns and paths; its fading normals fill ``normals``."""
         topo_ss, mob_ss, chan_ss = np.random.SeedSequence(seed).spawn(3)
         if topology_seed is not None:
             topo_ss = np.random.SeedSequence(topology_seed).spawn(1)[0]
-        return (chan.init_topology(self.scenario, 2, 1, topo_ss),
-                np.random.default_rng(mob_ss), np.random.default_rng(chan_ss))
+        fading = np.random.default_rng(chan_ss)
+        paths = chan.draw_paths(fading, self.scenario, normals.shape[2:])
+        normals[...] = fading.standard_normal(normals.shape)
+        return (chan.init_topology(self.scenario, 2, 1, topo_ss), paths,
+                np.random.default_rng(mob_ss).uniform(-chan.MAX_TURN_RAD, chan.MAX_TURN_RAD,
+                                                      (self.horizon, 2)))
 
-    def _begin(self, topology, mobility, fading) -> np.ndarray:
-        """Draw frame 0; ``fading`` is one generator, or an array of one per episode."""
-        self.topology, self._mobility = topology, mobility
-        self.channel_state = chan.ChannelState(rng=fading)
-        chan.draw_channels(self.topology, self.scenario, self.m_antennas,
-                           self.channel_state, self.codebook.spacing_in_wavelengths)
-        # start both BSs 3 dB below the power cap, beams at index 0
-        self._powers_dbm = np.full(np.shape(fading) + (2,), self.scenario.max_bs_power_dbm - 3.0)
-        self._beams = np.zeros(np.shape(fading) + (2,), dtype=int)
-        self._t = 0
-        return self._observe()
+    def _derive(self) -> None:
+        """Walk and fade the block's next chunk of frames, from frame ``self._t`` on."""
+        t0, frames, state = self._t, self._frames, self.channel_state
+        if t0 > self.horizon:
+            raise UsageError("the block is past its horizon; call start() first")
+        t1 = min(t0 + self.chunk_frames, self.horizon + 1)
+        self._frames = chan.step_mobility(
+            replace(frames, ue_positions=frames.ue_positions[-1],
+                    ue_headings=frames.ue_headings[-1]),
+            self.scenario, self._turns[t0 - 1:t1 - 1, self._rows])
+        self.channel_state = chan.draw_channels(
+            self._frames, self.scenario, self.m_antennas,
+            replace(state, path_gains=state.path_gains[-1]),
+            normals=self._normals[:, t0:t1, self._rows])
+        self._t0 = t0
 
     def apply_action(self, action) -> tuple[np.ndarray, np.ndarray]:
         """Clamp actions (..., 4) onto applied powers (dBm) and beam indices."""
@@ -206,25 +232,24 @@ class DownlinkEnv:
     def advance(self, actions) -> StepOutcome:
         """Apply one action per episode, advance them one frame and score it.
 
-        On a block, every outcome field and ``info`` entry has the episode
-        axis first.
+        Every outcome field and ``info`` entry has the episode axis first.
         """
         self._powers_dbm, self._beams = self.apply_action(actions)
-        self.topology = chan.step_mobility(self.topology, self.scenario, self._mobility)
-        chan.draw_channels(self.topology, self.scenario, self.m_antennas,
-                           self.channel_state, self.codebook.spacing_in_wavelengths)
+        self._t += 1
+        if self._t - self._t0 == len(self._frames.ue_positions):
+            self._derive()
 
         # scalar ``**`` per entry: numpy's vectorised power rounds some inputs differently
         powers_w = np.array([chan.dbm_to_watts(p) for p in self._powers_dbm.flat]
                             ).reshape(self._powers_dbm.shape)
-        sinr_lin = chan.compute_sinr(self.channel_state, self.topology,
-                                     self.codebook.vectors[self._beams], powers_w, self.scenario)
+        sinr_lin = chan.compute_sinr(chan.channel_vectors(self.channel_state, self._t - self._t0),
+                                     self._frames, self.codebook.vectors[self._beams],
+                                     powers_w, self.scenario)
         with np.errstate(divide="ignore"):
             raw_db = np.where(sinr_lin > 0.0, 10.0 * np.log10(
                 np.where(sinr_lin > 0.0, sinr_lin, 1.0)), -np.inf)
         eff_db = self.policy.effective_db(raw_db)
 
-        self._t += 1
         aborted = (raw_db < self.policy.gamma_cutoff_db).any(axis=-1)
         info = dict(sinr_linear=sinr_lin, sinr_db=raw_db, eff_sinr_db=eff_db,
                     powers_dbm=self._powers_dbm, powers_w=powers_w,
@@ -239,13 +264,16 @@ class DownlinkEnv:
             raise UsageError("step() called on a finished episode; call reset() first")
         if np.shape(action) != (ACTION_SIZE,):
             raise ContractViolation(f"action must have {ACTION_SIZE} entries")
-        out = self.advance(action)
-        out.info["aborted"] = out.terminated = bool(out.terminated)
-        out.truncated, out.reward = bool(out.truncated), float(out.reward)
+        out = self.advance(np.asarray(action)[None])
+        info = {key: value[0] if isinstance(value, np.ndarray) else value
+                for key, value in out.info.items()}
+        info["aborted"] = terminated = bool(info["aborted"])
+        out = StepOutcome(out.next_state[0], float(out.reward[0]), terminated,
+                          bool(out.truncated[0]), info)
         self._done = out.done
         return out
 
     def _observe(self) -> np.ndarray:
-        ue = self.topology.ue_positions
+        ue = self._frames.ue_positions[self._t - self._t0]
         return np.concatenate([ue.reshape(ue.shape[:-2] + (4,)), self._powers_dbm, self._beams],
                               axis=-1)

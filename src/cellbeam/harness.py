@@ -45,6 +45,8 @@ class EnvSettings:
         reject_nonfinite(self)
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if not 0.0 <= self.gamma0_db <= 100.0:
+            raise ConfigurationError("gamma0_db must lie in [0, 100] dB")
 
 
 @dataclass
@@ -61,10 +63,6 @@ class ExperimentPlan:
     out_format: str = "csv"
 
     def validate(self) -> None:
-        if not self.algorithms:
-            raise ConfigurationError("algo must list at least one algorithm")
-        if not self.antenna_counts:
-            raise ConfigurationError("antennas must list at least one antenna count")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ConfigurationError(
@@ -73,16 +71,15 @@ class ExperimentPlan:
             if m not in VALID_ANTENNA_COUNTS:
                 raise ConfigurationError(
                     f"antenna count {m} not in the supported set {VALID_ANTENNA_COUNTS}")
-        if not self.seeds:
-            raise ConfigurationError("at least one seed is required")
         for key, entries in (("algo", self.algorithms), ("antennas", self.antenna_counts),
                              ("seeds", self.seeds)):
+            if not entries:
+                raise ConfigurationError(f"{key} must list at least one entry")
             if len(set(entries)) < len(entries):
                 raise ConfigurationError(f"{key} lists an entry more than once: {entries}")
-        if self.episodes < 1:
-            raise ConfigurationError("episodes must be >= 1")
-        if self.eval_episodes < 1:
-            raise ConfigurationError("eval_episodes must be >= 1")
+        for key in ("episodes", "eval_episodes"):
+            if getattr(self, key) < 1:
+                raise ConfigurationError(f"{key} must be >= 1")
         if self.scenario not in SCENARIO_PRESETS:
             raise ConfigurationError(
                 f"unknown scenario preset {self.scenario!r}")
@@ -353,9 +350,7 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
     eval_logs = shared[(m_antennas, seed)]
 
     loss_series = [log.mean_loss for log in train_logs]
-    convergence = None
-    if len(loss_series) >= 20:
-        convergence = metrics.convergence_point(loss_series)
+    convergence = metrics.convergence_point(loss_series) if len(loss_series) >= 20 else None
 
     sum_rates = [log.sum_rate(env.horizon) for log in eval_logs]
     eff_all = np.concatenate([log.eff_sinr_db.ravel() for log in eval_logs])
@@ -382,8 +377,7 @@ def run_plan(cfg: RunConfig):
     out_dir = cfg.plan.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    summaries = []
-    sample_sets = []
+    summaries, sample_sets = [], []
     fpa_evals = {}      # (M, seed) -> evaluation logs of FPA, for this plan only
     max_cap = max(cfg.env.gamma0_db + 10.0 * math.log2(m) for m in cfg.plan.antenna_counts)
     grid = np.arange(-1.0, math.ceil(max_cap) + 1.5, 0.5)

@@ -88,8 +88,7 @@ class Mlp:
             if np.any(self.output_high < self.output_low):
                 raise ContractViolation("output_high must be >= output_low")
         else:
-            self.output_low = None
-            self.output_high = None
+            self.output_low = self.output_high = None
         self._cache = None
 
     @property
@@ -115,8 +114,7 @@ class Mlp:
             squash = np.tanh(z)
             out = self.output_low + (self.output_high - self.output_low) * (squash + 1.0) / 2.0
         else:
-            squash = None
-            out = z
+            squash, out = None, z
         self._cache = (activations, squash)
         return out[0] if single else out
 
@@ -168,8 +166,7 @@ class Mlp:
             payload[f"w{i}"] = w
             payload[f"b{i}"] = b
         if self.bounded:
-            payload["low"] = self.output_low
-            payload["high"] = self.output_high
+            payload.update(low=self.output_low, high=self.output_high)
         np.savez(path, **payload)
 
     @classmethod
@@ -185,11 +182,6 @@ class Mlp:
         return net
 
 
-def _check_congruent(net: Mlp, grads: GradientSet) -> None:
-    if grads.widths != net.widths:
-        raise ContractViolation("gradient shapes do not match the network")
-
-
 class AdamOptimizer:
     """Adam moments bound to one network's flat parameter vector.
 
@@ -200,18 +192,14 @@ class AdamOptimizer:
 
     def __init__(self, net: Mlp, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
-        self.net = net
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
+        self.net, self.lr, self.eps, self.weight_decay = net, lr, eps, weight_decay
+        self.beta1, self.beta2, self.t = beta1, beta2, 0
         self._m = np.zeros_like(net.params)
         self._v = np.zeros_like(net.params)
 
     def step(self, grads: GradientSet) -> None:
-        _check_congruent(self.net, grads)
+        if grads.widths != self.net.widths:
+            raise ContractViolation("gradient shapes do not match the network")
         self.t += 1
         p, g, m, v = self.net.params, grads.flat, self._m, self._v
         c1 = 1.0 - self.beta1 ** self.t

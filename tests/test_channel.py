@@ -373,3 +373,42 @@ def test_raising_other_bs_power_never_raises_sinr(instance, ue, raise_frac):
     more = chan.compute_sinr(state, topo, beams, raised, sc)
     # the signal is unchanged and total - signal cannot fall, so this is exact
     assert more[ue] <= base[ue]
+
+
+# -- turns and normals drawn before: the environment's per-episode trace ---------
+
+@given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 40),
+       scenario=st.sampled_from((dict(), dict(ue_speed_kmh=30000.0), dict(cell_radius_m=0.3))))
+def test_walking_drawn_turns_equals_stepping_the_generator(seed, frames, scenario):
+    sc = chan.preset("sub6", **scenario)
+    start = chan.init_topology(sc, 2, 1, seed=seed)
+    mobility, topo, steps = np.random.default_rng(seed), start, []
+    for _ in range(frames):
+        topo = chan.step_mobility(topo, sc, mobility)
+        steps.append(topo)
+    turns = np.random.default_rng(seed).uniform(-chan.MAX_TURN_RAD, chan.MAX_TURN_RAD,
+                                                (frames, 2))
+    walked = chan.step_mobility(start, sc, turns)
+    assert np.array_equal(walked.ue_positions, np.stack([s.ue_positions for s in steps]))
+    assert np.array_equal(walked.ue_headings, np.stack([s.ue_headings for s in steps]))
+    for ue in range(2):
+        assert np.all(walked.serving_distance_m(ue) <= sc.cell_radius_m / 2.0 + 1e-9)
+
+
+@given(m=st.sampled_from(VALID_ANTENNA_COUNTS), seed=st.integers(0, 2 ** 32 - 1),
+       frames=st.integers(1, 20))
+def test_fading_drawn_normals_equals_drawing_frame_by_frame(m, seed, frames):
+    sc = chan.preset("sub6")
+    topo = chan.init_topology(sc, 2, 1, seed=seed)
+    state, want = chan.new_channel_state(seed), []
+    for _ in range(frames):
+        want.append(chan.draw_channels(topo, sc, m, state).vectors)
+    fading, shape = np.random.default_rng(seed), (2, 2, sc.n_paths)
+    angles, los = chan.draw_paths(fading, sc, shape)
+    normals = np.ascontiguousarray(fading.standard_normal((frames, 2) + shape).swapaxes(0, 1))
+    framed = dataclasses.replace(topo, ue_positions=np.stack([topo.ue_positions] * frames))
+    trace = chan.draw_channels(framed, sc, m, chan.ChannelState(None, path_angles=angles, los=los),
+                               normals=normals)
+    assert trace.vectors is None and trace.path_gains.shape == (frames,) + shape
+    for k in range(frames):
+        assert np.array_equal(chan.channel_vectors(trace, k), want[k])

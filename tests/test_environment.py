@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellbeam import channel as chan
 from cellbeam import preset
+from cellbeam.channel import channel_vectors
 from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
 from cellbeam.errors import ContractViolation, UsageError
 from cellbeam.harness import VALID_ANTENNA_COUNTS
@@ -203,11 +205,11 @@ def test_reset_topology_seed_shares_the_drop_but_not_the_fading():
     env = make_env(m_antennas=4)
     assert np.array_equal(env.reset(5, topology_seed=5), env.reset(5))
     a = env.reset(11, topology_seed=5)
-    topo_a, vectors_a = env.topology, env.channel_state.vectors.copy()
+    topo_a, vectors_a = env.topology, channel_vectors(env.channel_state, 0)
     b = env.reset(12, topology_seed=5)
     assert np.array_equal(a, b)
     assert np.array_equal(topo_a.ue_headings, env.topology.ue_headings)
-    assert not np.allclose(vectors_a, env.channel_state.vectors)
+    assert not np.allclose(vectors_a, channel_vectors(env.channel_state, 0))
     assert not np.array_equal(env.reset(12)[:4], b[:4])
 
 
@@ -258,3 +260,98 @@ def test_block_frames_equal_one_episode_steps_and_step_refuses_a_block():
             assert one.reward == out.reward[b] and one.terminated == out.terminated[b]
             for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_w", "beam_indices"):
                 assert np.array_equal(one.info[key], out.info[key][b]), key
+
+
+def test_serving_distance_on_a_started_block_is_one_per_episode():
+    env = make_env(m_antennas=4)
+    env.start([1, 2, 3])
+    got = env.topology.serving_distance_m(0)
+    # UE 0 is served by BS 0 at the origin: its distance is the norm of its position
+    want = [np.linalg.norm(env.reset(seed)[:2]) for seed in (1, 2, 3)]
+    assert got.shape == (3,) and got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx([146.0, 169.0, 129.0], abs=1.0)
+    assert np.all(got <= env.scenario.cell_radius_m / 2.0)
+
+
+def test_advance_past_the_horizon_is_refused():
+    env = make_env(horizon=2)
+    env.start([4, 5])
+    for _ in range(2):
+        env.advance(np.full((2, 4), 30.0))
+    with pytest.raises(UsageError, match="horizon"):
+        env.advance(np.full((2, 4), 30.0))
+
+
+# -- the per-episode channel trace ----------------------------------------------
+
+def _reference_episode(env, seed, topology_seed, actions):
+    """One episode stepped frame by frame on its own generators, with no trace."""
+    sc, m = env.scenario, env.m_antennas
+    topo_ss, mob_ss, chan_ss = np.random.SeedSequence(seed).spawn(3)
+    if topology_seed is not None:
+        topo_ss = np.random.SeedSequence(topology_seed).spawn(1)[0]
+    topo = chan.init_topology(sc, 2, 1, topo_ss)
+    mobility, state = np.random.default_rng(mob_ss), chan.new_channel_state(chan_ss)
+    chan.draw_channels(topo, sc, m, state)
+    frames = [(topo.ue_positions, state.vectors, None, None)]
+    for action in actions:
+        topo = chan.step_mobility(topo, sc, mobility)
+        chan.draw_channels(topo, sc, m, state)
+        powers_dbm, beams = env.apply_action(action)
+        powers_w = np.array([chan.dbm_to_watts(p) for p in powers_dbm])
+        sinr = chan.compute_sinr(state, topo, env.codebook.vectors[beams], powers_w, sc)
+        raw_db = np.where(sinr > 0.0, 10.0 * np.log10(np.where(sinr > 0.0, sinr, 1.0)), -np.inf)
+        frames.append((topo.ue_positions, state.vectors, sinr,
+                       env.policy.effective_db(raw_db).sum()))
+    return frames
+
+
+_SCENARIOS = (dict(), dict(cell_radius_m=0.3), dict(ue_speed_kmh=30000.0),
+              dict(n_paths=3, p_los=0.5, carrier_freq_hz=28e9))
+
+
+@given(m=st.sampled_from(VALID_ANTENNA_COUNTS), horizon=st.integers(1, 50),
+       scenario=st.sampled_from(_SCENARIOS), first_seed=st.integers(0, 2 ** 20),
+       cycle=st.integers(0, 3), data=st.data())
+@settings(max_examples=40)
+def test_trace_equals_generators_stepped_frame_by_frame(m, horizon, scenario, first_seed,
+                                                        cycle, data):
+    env = DownlinkEnv(preset("sub6", **scenario), m_antennas=m, horizon=horizon)
+    episodes = data.draw(st.integers(1, 5))
+    seeds = [first_seed + b for b in range(episodes)]
+    drops = [seeds[b % cycle] for b in range(episodes)] if cycle else [None] * episodes
+    # each episode leaves the block through keep() after its own number of frames
+    ends = data.draw(st.lists(st.integers(1, horizon), min_size=episodes, max_size=episodes))
+    rng = np.random.default_rng(first_seed)
+    actions = np.concatenate([rng.uniform(-10.0, 50.0, (horizon, episodes, 2)),
+                              rng.uniform(-1.0, m + 1.0, (horizon, episodes, 2))], axis=-1)
+    refs = [_reference_episode(env, s, d, actions[:e, b])
+            for b, (s, d, e) in enumerate(zip(seeds, drops, ends))]
+
+    created = []
+    make = np.random.default_rng
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", lambda *a: created.append(make(*a)) or created[-1])
+        states = env.start(seeds, drops)
+    drawn = [g.bit_generator.state for g in created]
+    assert len(created) == 3 * episodes   # drop, mobility and fading per episode
+
+    rows = np.arange(episodes)
+    for b in rows:
+        assert np.array_equal(states[b, :4], refs[b][0][0].reshape(4))
+        assert np.array_equal(chan.channel_vectors(env.channel_state, 0)[b], refs[b][0][1])
+    for t in range(1, max(ends) + 1):
+        out = env.advance(actions[t - 1, rows])
+        vectors = chan.channel_vectors(env.channel_state, env._t - env._t0)
+        for i, b in enumerate(rows):
+            positions, want_vectors, sinr, reward = refs[b][t]
+            assert np.array_equal(env.topology.ue_positions[i], positions)
+            assert np.array_equal(out.next_state[i, :4], positions.reshape(4))
+            assert np.array_equal(vectors[i], want_vectors)
+            assert np.array_equal(out.info["sinr_linear"][i], sinr)
+            assert out.reward[i] == reward
+        alive = np.array([ends[b] > t for b in rows], dtype=bool)
+        env.keep(np.flatnonzero(alive))
+        rows = rows[alive]
+    # every draw happened in start(): advance() drew nothing
+    assert [g.bit_generator.state for g in created] == drawn

@@ -533,7 +533,9 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
                      # action ranges whose top lies below the bottom at M=1
                      ("pc_limit_db", "-5"), ("ic_limit_db", "-1"),
                      ("bf_limit_multiplier", "-1"), ("bf_limit_multiplier", "0.5"),
-                     ("power_floor_dbm", "50")):
+                     ("power_floor_dbm", "50"),
+                     # outside [0, 100] dB: an unbounded CCDF grid, or an inverted SINR band
+                     ("gamma0_db", "5000"), ("gamma0_db", "1e9"), ("gamma0_db", "-10")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key}={bad}\n")
         out = tmp_path / key

@@ -86,3 +86,20 @@ def test_set_over_the_byte_budget_splits_into_blocks(monkeypatch):
         # the set holds both ends of an episode: aborts and horizon truncations
         assert {log.aborted for log in block} == {True, False}
         assert any(not log.aborted and log.steps == env.horizon for log in block)
+
+
+@pytest.mark.parametrize("m", VALID_ANTENNA_COUNTS)
+def test_a_block_fits_the_byte_budget_at_horizon_50(m):
+    env = _env(m, 50, -1e9)
+    size = common.block_size(env)
+    seeds = list(range(size))
+    states = env.start(seeds)
+    frames = common._Frames(env, seeds, states)
+    frames.record(env.advance(FpaAgent(env).act_block(states)), states[:, :4])
+    # every array the block holds: steering, drawn trace, derived chunk, frame logs
+    held = [value for owner in (env, env.channel_state, env._frames)
+            for value in vars(owner).values() if isinstance(value, np.ndarray)]
+    held_bytes = sum(a.nbytes for a in held + list(frames.arrays.values()))
+    assert env.channel_state.steering.shape[0] == len(env._normals[0, 0]) == size
+    assert env.channel_state.path_gains.shape[0] == env.chunk_frames
+    assert common.BLOCK_BYTES / 2 < held_bytes <= common.BLOCK_BYTES
