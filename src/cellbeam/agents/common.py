@@ -289,16 +289,12 @@ class BaseAgent:
         pass
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        """The action for one state; ``explore=False`` gives the agent's greedy policy."""
-        raise NotImplementedError
+        """The action for one (8,) state; ``explore=False`` gives the greedy policy.
 
-    def act_block(self, states: np.ndarray) -> np.ndarray:
-        """Greedy actions for a (B, 8) block of states, one ``act`` per row.
-
-        A batched network forward rounds differently from a one-state one,
-        so a learner acts row by row and each row keeps its one-episode bits.
+        A greedy act also takes a (B, 8) block, and each row gets the bits
+        it would get alone.
         """
-        return np.stack([self.act(state, explore=False) for state in states])
+        raise NotImplementedError
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         """Store the transition and train; returns a loss or None.
@@ -336,7 +332,7 @@ class BaseAgent:
 
         Each log equals that of ``run_episode(env, seed, False, topology_seed)``
         bit for bit; the episode hooks are not called, as a greedy act reads
-        nothing they set up.  Every frame's actions come from ``act_block``.
+        nothing they set up.  Every frame's actions come from one greedy ``act``.
         """
         seeds = list(seeds)
         drops = [None] * len(seeds) if topology_seeds is None else list(topology_seeds)
@@ -346,7 +342,7 @@ class BaseAgent:
             states = env.start(seeds[i:i + size], drops[i:i + size])
             frames = _Frames(env, seeds[i:i + size], states)
             while frames.ids.size:
-                actions = self.act_block(states)
+                actions = self.act(states, explore=False)
                 outcome = env.advance(actions)
                 ended = frames.record(outcome, actions)
                 states = outcome.next_state[~ended]
@@ -359,15 +355,19 @@ class BaseAgent:
 class DiscreteAgent(BaseAgent):
     """Epsilon-greedy learner over the joint power-step/beam-step table.
 
-    Subclasses call ``_init_actions`` and supply ``greedy_joint(state)``,
-    the table index of the greedy action; ``act`` explores on the given
-    generator and maps the chosen entry onto an absolute env action.
+    Subclasses call ``_init_actions`` and supply ``action_values(states)``,
+    one value per table entry for each state.  The greedy choice is their
+    argmax, unless it leads action 0 by at most ``greedy_margin``: then it
+    falls back to action 0.  ``act`` explores on the given generator and
+    maps the chosen entry onto an absolute env action.
     """
+
+    greedy_margin = 0.0
 
     def _init_actions(self, env, hyper: AgentHyperparams, power_step_db,
                       explore_rng: np.random.Generator) -> None:
         self.hyper = hyper
-        self.actions = discrete_action_table(power_step_db, env.codebook.size)
+        self.actions = np.array(discrete_action_table(power_step_db, env.codebook.size))
         self.codebook_size = env.codebook.size
         self.power_low = env.power_floor_dbm
         self.power_high = env.scenario.max_bs_power_dbm
@@ -377,21 +377,20 @@ class DiscreteAgent(BaseAgent):
     def epsilon(self) -> float:
         return self.hyper.epsilon_at(self._episode)
 
-    def greedy_joint(self, state: np.ndarray) -> int:
-        raise NotImplementedError
-
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         if explore and self._explore_rng.random() < self.epsilon:
-            joint = int(self._explore_rng.integers(len(self.actions)))
+            joint = self._explore_rng.integers(len(self.actions))
         else:
-            joint = self.greedy_joint(state)
+            values = self.action_values(state)
+            # the argmax, or action 0 where the argmax leads it by at most the margin
+            joint = values.argmax(axis=-1) * (values.max(axis=-1) - values[..., 0]
+                                              > self.greedy_margin)
         self._last_joint = joint
-        dp_l, dp_b, db_l, db_b = self.actions[joint]
-        n_l = step_beam(int(round(state[6])), db_l, self.codebook_size)
-        n_b = step_beam(int(round(state[7])), db_b, self.codebook_size)
-        p_l = float(np.clip(state[4] + dp_l, self.power_low, self.power_high))
-        p_b = float(np.clip(state[5] + dp_b, self.power_low, self.power_high))
-        return np.array([p_l, p_b, float(n_l), float(n_b)])
+        step = self.actions[joint]
+        powers = np.minimum(np.maximum(state[..., 4:6] + step[..., :2], self.power_low),
+                            self.power_high)
+        beams = step_beam(np.rint(state[..., 6:]), step[..., 2:], self.codebook_size)
+        return np.concatenate([powers, beams], axis=-1)
 
 
 class ActionScaler:

@@ -126,14 +126,16 @@ class DdpgAgent(BaseAgent):
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """The actor's action, plus OU or Gaussian noise when exploring, clamped to bounds."""
-        action = self.scaler.to_env(self.actor.forward(self.normalize(state)))
+        # a (B, 1, 8) stack gives each row of a block its one-state bits
+        normalized = self.actor.forward(self.normalize(state)[..., None, :])[..., 0, :]
+        action = self.scaler.to_env(normalized)
         if explore:
             sigma = self.noise_sigma
             if self._ou is not None:
                 action = action + self._ou(self._noise_rng, sigma)
             elif np.any(sigma > 0.0):
                 action = action + self._noise_rng.normal(0.0, 1.0, action.shape) * sigma
-        return np.clip(action, self.scaler.low, self.scaler.high)
+        return np.minimum(np.maximum(action, self.scaler.low), self.scaler.high)
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         self.buffer.push(Transition(np.asarray(state, dtype=float),

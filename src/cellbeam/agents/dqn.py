@@ -24,6 +24,7 @@ class DqnAgent(DiscreteAgent):
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int):
         self._init_actions(env, hyper, hyper.power_step_db, agent_stream(seed, 1))
+        self.greedy_margin = hyper.dqn_greedy_margin
         self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
         self.updates = 0    # minibatch updates run
 
@@ -46,13 +47,9 @@ class DqnAgent(DiscreteAgent):
         adv = adv_net.forward(states)
         return value + adv - adv.mean(axis=1, keepdims=True)
 
-    def greedy_joint(self, state: np.ndarray) -> int:
-        # argmax over Q equals argmax over the advantages alone; a value
-        # lead below dqn_greedy_margin falls back to the neutral action,
-        # mirroring the tabular agent's untrained-row default
-        adv = self.adv_net.forward(self.normalize(state))
-        joint = int(np.argmax(adv))
-        return 0 if adv[joint] - adv[0] <= self.hyper.dqn_greedy_margin else joint
+    def action_values(self, states: np.ndarray) -> np.ndarray:
+        # argmax over Q equals argmax over the advantages alone
+        return self.adv_net.forward(self.normalize(states)[..., None, :])[..., 0, :]
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         self.buffer.push(Transition(np.asarray(state, dtype=float), self._last_joint,

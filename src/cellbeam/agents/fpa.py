@@ -39,6 +39,3 @@ class FpaAgent(BaseAgent):
         """The fixed powers and the current beams, for one state or a (B, 8) block."""
         return np.concatenate([np.full(np.shape(state)[:-1] + (2,), self.power_dbm),
                                np.asarray(state)[..., 6:]], axis=-1)
-
-    def act_block(self, states: np.ndarray) -> np.ndarray:
-        return self.act(states, explore=False)

@@ -44,10 +44,12 @@ class StateDiscretizer:
         self._bins = np.array([position_bins] * 4 + [power_levels] * 2)
         self._top = np.where(single, 0, self._bins - 1)
 
-    def key(self, state: np.ndarray) -> tuple:
-        frac = (state[:6] - self._low) / self._span
-        bins = np.clip(np.floor(frac * self._bins), 0, self._top)
-        return tuple(bins.astype(int).tolist()) + (int(round(state[6])), int(round(state[7])))
+    def key(self, state: np.ndarray):
+        """The table key of one (8,) state, or the list of keys of a (B, 8) block."""
+        frac = (state[..., :6] - self._low) / self._span
+        bins = np.minimum(np.maximum(np.floor(frac * self._bins), 0), self._top)
+        keys = np.concatenate([bins, np.rint(state[..., 6:])], axis=-1).astype(int).tolist()
+        return tuple(keys) if np.ndim(state) == 1 else list(map(tuple, keys))
 
 
 class QLearningAgent(DiscreteAgent):
@@ -58,11 +60,15 @@ class QLearningAgent(DiscreteAgent):
     def __init__(self, env, hyper: AgentHyperparams, seed: int):
         self._init_actions(env, hyper, hyper.q_power_step_db, agent_stream(seed, 0))
         self.table: dict = {}
+        self._unvisited = np.zeros(len(self.actions))
         self.discretizer = StateDiscretizer(env, hyper.position_bins, hyper.power_levels)
 
-    def greedy_joint(self, state: np.ndarray) -> int:
-        row = self.table.get(self.discretizer.key(state))
-        return 0 if row is None else int(np.argmax(row))
+    def action_values(self, states: np.ndarray) -> np.ndarray:
+        # an unvisited row reads as zeros, so its argmax is action 0
+        keys = self.discretizer.key(states)
+        if np.ndim(states) == 1:
+            return self.table.get(keys, self._unvisited)
+        return np.array([self.table.get(key, self._unvisited) for key in keys])
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
         qlearning_update(self.table, self.discretizer.key(state), self._last_joint,

@@ -59,11 +59,11 @@ def build_codebook(m_antennas: int, spacing_in_wavelengths: float = 0.5) -> Code
                     angles=angles, vectors=vectors)
 
 
-def step_beam(index: int, direction: int, codebook_size: int) -> int:
-    """Circular +/-1 move through the codebook: (index +/- 1) mod size."""
-    if not 0 <= index < codebook_size:
+def step_beam(index, direction, codebook_size: int):
+    """Circular +/-1 moves through the codebook: (index +/- 1) mod size, entry by entry."""
+    if np.count_nonzero(np.less(index, 0) | np.greater_equal(index, codebook_size)):
         raise ContractViolation(f"beam index {index} outside [0, {codebook_size})")
-    if direction not in (1, -1):
+    if np.count_nonzero(np.abs(direction) != 1):    # cheaper than .any() on a few entries
         raise ContractViolation("direction must be +1 or -1")
     return (index + direction) % codebook_size
 

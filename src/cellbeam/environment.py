@@ -23,7 +23,6 @@ from . import channel as chan
 from .beamcode import beam_from_continuous, build_codebook
 from .errors import ConfigurationError, ContractViolation, UsageError
 
-STATE_SIZE = 8
 ACTION_SIZE = 4
 
 
@@ -148,6 +147,8 @@ class DownlinkEnv:
         here; ``advance`` derives the frames a chunk at a time and draws nothing.
         """
         b = len(seeds)
+        if topology_seeds is not None and len(topology_seeds) != b:
+            raise ContractViolation("topology_seeds must list one entry per seed")
         self._normals = None    # the last block's draws go before this block's come
         self._normals = np.empty((2, self.horizon + 1, b, 2, 2, self.scenario.n_paths))
         drops, paths, turns = zip(*map(self._streams, seeds, topology_seeds or [None] * b,

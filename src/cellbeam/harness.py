@@ -77,6 +77,8 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{key} must list at least one entry")
             if len(set(entries)) < len(entries):
                 raise ConfigurationError(f"{key} lists an entry more than once: {entries}")
+        if min(self.seeds) < 0:
+            raise ConfigurationError(f"seeds must be >= 0, not {self.seeds}")
         for key in ("episodes", "eval_episodes"):
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
@@ -216,9 +218,7 @@ def serialize_config(cfg: RunConfig) -> str:
             text = ",".join(str(v) for v in value)
         elif isinstance(value, bool):
             text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = repr(value)
-        else:
+        else:   # str() of a float is its shortest round-trip repr()
             text = str(value)
         # parse_config strips each value and reads one line per key
         if text != text.strip() or len(text.splitlines()) > 1:

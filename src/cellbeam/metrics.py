@@ -106,18 +106,14 @@ def convergence_point(loss_series, window: int = 20, rel_tol: float = 0.05) -> i
     if not finite.any():
         return None
     first = int(np.argmax(finite))
-    filled = series.copy()
-    for i in range(first + 1, len(filled)):
-        if not np.isfinite(filled[i]):
-            filled[i] = filled[i - 1]
-    filled = filled[first:]
+    # each entry takes the last finite value at or before it
+    filled = series[np.maximum.accumulate(np.where(finite, np.arange(len(series)), 0))][first:]
 
     n = len(filled)
-    averages = np.empty(n)
+    ends = np.arange(1, n + 1)
+    starts = np.maximum(0, ends - window)
     csum = np.concatenate([[0.0], np.cumsum(filled)])
-    for e in range(n):
-        lo = max(0, e - window + 1)
-        averages[e] = (csum[e + 1] - csum[lo]) / (e + 1 - lo)
+    averages = (csum[ends] - csum[starts]) / (ends - starts)
 
     # deviation of all later averages from the candidate's value
     for e in range(n - window + 1):

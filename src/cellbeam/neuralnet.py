@@ -96,15 +96,15 @@ class Mlp:
         return self.output_low is not None
 
     def forward(self, x) -> np.ndarray:
-        """Evaluate the network, caching activations for backward()."""
+        """Evaluate (..., n_in) inputs, caching activations for backward(); 1-D is one row.
+
+        A (B, n_in) batch rounds differently from B one-row forwards; a
+        (B, 1, n_in) stack gives every row the bits of its one-row forward.
+        """
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = np.atleast_2d(x)
-        if x2.shape[1] != self.widths[0]:
-            raise ContractViolation(
-                f"input width {x2.shape[1]} does not match declared {self.widths[0]}")
-        activations = [x2]
-        z = None
+        if x.shape[-1:] != (self.widths[0],):
+            raise ContractViolation(f"input shape {x.shape} does not end in width {self.widths[0]}")
+        activations = [x[None] if x.ndim == 1 else x]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = activations[-1] @ w
             z += b
@@ -116,7 +116,7 @@ class Mlp:
         else:
             squash, out = None, z
         self._cache = (activations, squash)
-        return out[0] if single else out
+        return out[0] if x.ndim == 1 else out
 
     def backward(self, upstream) -> GradientSet:
         """Backpropagate an upstream dLoss/dOutput through the cached pass.
@@ -139,8 +139,8 @@ class Mlp:
             raise UsageError("backward() requires a preceding forward() call")
         activations, squash = self._cache
         g = np.atleast_2d(np.asarray(upstream, dtype=float))
-        if g.shape != (activations[0].shape[0], self.widths[-1]):
-            raise ContractViolation("upstream gradient shape does not match last forward")
+        if activations[0].ndim != 2 or g.shape != (len(activations[0]), self.widths[-1]):
+            raise ContractViolation("upstream gradient must match a last (B, n) forward")
         if self.bounded:
             g = g * (self.output_high - self.output_low) / 2.0 * (1.0 - squash ** 2)
         for i in range(len(self.weights) - 1, -1, -1):

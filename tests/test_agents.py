@@ -719,13 +719,13 @@ def test_validation_keeps_fpa_without_a_gain():
     agent = DdpgAgent(env, small_hyper(), seed=3)
     agent.updates = 1
     # a learned policy that is FPA itself shows no gain and is not trusted
-    agent.actor.forward = lambda x: np.ones(4) if np.ndim(x) == 1 else np.ones((len(x), 4))
+    agent.actor.forward = lambda x: np.ones(np.shape(x)[:-1] + (4,))
     agent.scaler.high[:2] = env.scenario.max_bs_power_dbm
     result = harness.validate_policy(agent, env, [0, 1, 2], z=2.0)
     assert not result.trusted
     assert result.episodes == 3 and abs(result.mean_gain) < 1e-9
     # a drained policy is worse and stays untrusted even at a lenient z
-    agent.actor.forward = lambda x: -np.ones(4)
+    agent.actor.forward = lambda x: -np.ones(np.shape(x)[:-1] + (4,))
     result = harness.validate_policy(agent, env, [0, 1, 2], z=0.0)
     assert result.mean_gain < 0.0 and not result.trusted
     # the rule is mean gain > z standard errors, whatever the sign of z

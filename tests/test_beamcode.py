@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cellbeam import beamcode as bc
 from cellbeam.errors import ConfigurationError, ContractViolation
+from cellbeam.harness import VALID_ANTENNA_COUNTS
 
 
 def test_single_antenna_codebook():
@@ -75,6 +78,26 @@ def test_step_beam_validates():
         bc.step_beam(-1, 1, 8)
     with pytest.raises(ContractViolation):
         bc.step_beam(0, 2, 8)
+
+
+@given(size=st.sampled_from(VALID_ANTENNA_COUNTS), n=st.integers(1, 60),
+       seed=st.integers(0, 2 ** 20))
+@settings(max_examples=40)
+def test_step_beam_on_arrays_moves_each_entry_and_refuses_one_bad_entry(size, n, seed):
+    rng = np.random.default_rng(seed)
+    index, direction = rng.integers(0, size, n), rng.choice([-1, 1], n)
+    want = [bc.step_beam(int(i), int(d), size) for i, d in zip(index, direction)]
+    assert np.array_equal(bc.step_beam(index, direction, size), want)
+    assert np.array_equal(bc.step_beam(index.astype(float), direction.astype(float), size), want)
+    k = rng.integers(n)
+    bad_index = index.copy()
+    bad_index[k] = rng.choice([-1, size, size + 3])
+    with pytest.raises(ContractViolation, match="beam index"):
+        bc.step_beam(bad_index, direction, size)
+    bad_direction = direction.copy()
+    bad_direction[k] = rng.choice([0, 2, -2])
+    with pytest.raises(ContractViolation, match="direction"):
+        bc.step_beam(index, bad_direction, size)
 
 
 def test_step_beam_is_bijective():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cellbeam import channel as chan
 from cellbeam import preset
+from cellbeam.agents import FpaAgent
 from cellbeam.channel import channel_vectors
 from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
 from cellbeam.errors import ContractViolation, UsageError
@@ -271,6 +272,14 @@ def test_serving_distance_on_a_started_block_is_one_per_episode():
     assert got.shape == (3,) and got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx([146.0, 169.0, 129.0], abs=1.0)
     assert np.all(got <= env.scenario.cell_radius_m / 2.0)
+
+
+def test_start_refuses_topology_seeds_of_another_length():
+    env = make_env()
+    with pytest.raises(ContractViolation, match="one entry per seed"):
+        env.start([1, 2, 3], [7, 8])
+    with pytest.raises(ContractViolation, match="one entry per seed"):
+        FpaAgent(env).run_episodes(env, [1, 2, 3], [7, 8])
 
 
 def test_advance_past_the_horizon_is_refused():

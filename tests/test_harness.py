@@ -519,6 +519,17 @@ def test_cli_repeated_seeds_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_seeds_exit_2_and_write_nothing(tmp_path, capsys):
+    with pytest.raises(ConfigurationError, match="seeds"):
+        harness.parse_config(cli_values={"seeds": "0,-1"})
+    out = tmp_path / "o"
+    code = harness.main(["--algo", "fpa", "--antennas", "1", "--seeds=-1",
+                         "--episodes", "2", "--out", str(out)])
+    assert code == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
     for key, bad in (("q_lr", "-0.1"), ("replay_capacity", "0"), ("depth", "-1"),
                      ("actor_weight_decay", "-1"), ("critic_weight_decay", "-0.5"),

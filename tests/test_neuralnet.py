@@ -59,6 +59,22 @@ def test_forward_rejects_wrong_width():
         net.forward(np.ones(4))
 
 
+def test_stacked_forward_keeps_one_row_bits_and_refuses_backward():
+    net = nn.Mlp([8, 28, 28, 4], output_low=-np.ones(4), output_high=np.ones(4), rng=3)
+    x = np.random.default_rng(0).standard_normal((59, 8))
+    stacked = net.forward(x[:, None, :])
+    assert stacked.shape == (59, 1, 4)
+    assert np.array_equal(stacked[:, 0], np.stack([net.forward(row) for row in x]))
+    # the cache of a stacked pass cannot be chained, whatever the upstream's shape
+    for upstream in (np.ones((59, 4)), np.ones((59, 1, 4))):
+        for chain in ("backward", "input_gradient"):
+            net.forward(x[:, None, :])
+            with pytest.raises(ContractViolation, match=r"last \(B, n\) forward"):
+                getattr(net, chain)(upstream)
+    net.forward(x)
+    assert net.backward(np.ones((59, 4))).wrt_input.shape == (59, 8)
+
+
 def test_forward_is_pure():
     net = nn.Mlp([2, 3, 1], rng=1)
     before = [w.copy() for w in net.weights]

@@ -67,6 +67,36 @@ def test_block_equals_one_episode_rollouts(kind, m, episodes, horizon, cutoff_db
     _assert_same(block, _sequential(agent, env, seeds, drops))
 
 
+@given(kind=st.sampled_from(AGENTS), m=st.sampled_from(VALID_ANTENNA_COUNTS),
+       trained=st.booleans(), rows=st.integers(1, 60), seed=st.integers(0, 2 ** 20))
+@settings(max_examples=60)
+def test_block_act_equals_stacked_one_state_acts(kind, m, trained, rows, seed):
+    env = _env(m, 12, 4.0)
+    if trained or kind == "fpa":
+        agent = _agent(kind, env)
+    else:
+        agent = make_agent(kind, env, AgentHyperparams(), seed=5)
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(env.state_low, env.state_high, (rows, 8))
+    if kind == "qlearning":
+        # every other row is visited, with distinct values; the rest read as zeros
+        for state in states[::2]:
+            agent.table[agent.discretizer.key(state)] = rng.standard_normal(len(agent.actions))
+    if kind in ("qlearning", "dqn"):
+        values = agent.action_values(states)
+        assert np.array_equal(values, np.stack([agent.action_values(s) for s in states]))
+        leads = values.max(axis=1) - values[:, 0]
+        if kind == "dqn":
+            # rows leading by at most the median fall back to action 0, the rest keep the argmax
+            agent.greedy_margin = float(np.median(leads))
+    block = agent.act(states, explore=False)
+    if kind in ("qlearning", "dqn"):
+        assert np.array_equal(agent._last_joint,
+                              np.where(leads <= agent.greedy_margin, 0, values.argmax(axis=1)))
+    assert block.shape == (rows, 4)
+    assert np.array_equal(block, np.stack([agent.act(s, explore=False) for s in states]))
+
+
 def test_set_over_the_byte_budget_splits_into_blocks(monkeypatch):
     env = _env(4, 10, 4.0)
     per_episode = common.BLOCK_BYTES // common.block_size(env)
@@ -95,7 +125,7 @@ def test_a_block_fits_the_byte_budget_at_horizon_50(m):
     seeds = list(range(size))
     states = env.start(seeds)
     frames = common._Frames(env, seeds, states)
-    frames.record(env.advance(FpaAgent(env).act_block(states)), states[:, :4])
+    frames.record(env.advance(FpaAgent(env).act(states, explore=False)), states[:, :4])
     # every array the block holds: steering, drawn trace, derived chunk, frame logs
     held = [value for owner in (env, env.channel_state, env._frames)
             for value in vars(owner).values() if isinstance(value, np.ndarray)]
