@@ -1,8 +1,8 @@
 """The five control policies behind one common train/act interface."""
 
 from .common import (ActionScaler, AgentHyperparams, BaseAgent, DiscreteAgent, EpisodeLog,
-                     OrnsteinUhlenbeckNoise, ReplayBuffer, Transition, discrete_action_table)
-from .ddpg import DdpgAgent, actor_policy_gradient, ddpg_train_step
+                     ReplayBuffer, ReplayLearner, Transition, discrete_action_table)
+from .ddpg import DdpgAgent, actor_policy_gradient
 from .dqn import DqnAgent
 from .fpa import FpaAgent, fpa_power
 from .hddpg import HddpgAgent
@@ -25,8 +25,7 @@ def make_agent(name: str, env, hyper: AgentHyperparams, seed: int) -> BaseAgent:
 
 __all__ = [
     "ALGORITHMS", "ActionScaler", "AgentHyperparams", "BaseAgent", "DdpgAgent",
-    "DiscreteAgent", "DqnAgent", "EpisodeLog", "FpaAgent", "HddpgAgent",
-    "OrnsteinUhlenbeckNoise", "QLearningAgent", "ReplayBuffer", "StateDiscretizer",
-    "Transition", "actor_policy_gradient", "ddpg_train_step", "discrete_action_table",
-    "fpa_power", "make_agent", "qlearning_update",
+    "DiscreteAgent", "DqnAgent", "EpisodeLog", "FpaAgent", "HddpgAgent", "QLearningAgent",
+    "ReplayBuffer", "ReplayLearner", "StateDiscretizer", "Transition", "actor_policy_gradient",
+    "discrete_action_table", "fpa_power", "make_agent", "qlearning_update",
 ]

@@ -83,8 +83,7 @@ class AgentHyperparams:
 
     discount: float = 0.9
     tau: float = 0.1
-    lr: float = 1e-4
-    actor_lr: float | None = None     # defaults to lr when unset
+    lr: float = 1e-4                  # every network's Adam step size
     width: int = 28
     depth: int = 4
     batch_size: int = 128
@@ -93,12 +92,10 @@ class AgentHyperparams:
     meta_period: int = 3
     noise_scale: float = 0.25         # initial std as a fraction of action range
     noise_end_frac: float = 0.0       # final noise scale as a fraction of initial
-    use_ou_noise: bool = False
     eps_start: float = 1.0
     eps_end: float = 0.05
     eps_decay_frac: float = 1.0       # fraction of training over which eps decays
     replay_capacity: int = 10_000
-    dqn_updates_per_step: int = 1     # minibatch updates per environment step
     dqn_greedy_margin: float = 0.0    # value lead over the neutral action needed to act on it
     reward_scale: float = 0.1         # conditioning factor for network targets
     final_layer_scale: float = 0.05   # shrink factor for output layer init
@@ -123,8 +120,7 @@ class AgentHyperparams:
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError("tau must lie in [0, 1]")
         for name, low in (("width", 1), ("depth", 0), ("batch_size", 1), ("meta_batch_size", 1),
-                          ("controller_batch_size", 1), ("meta_period", 1),
-                          ("replay_capacity", 1), ("dqn_updates_per_step", 1),
+                          ("controller_batch_size", 1), ("meta_period", 1), ("replay_capacity", 1),
                           ("position_bins", 1), ("power_levels", 1), ("noise_scale", 0),
                           ("train_geometry_cycle", 0), ("q_lr", 0), ("actor_weight_decay", 0),
                           ("critic_weight_decay", 0), ("pc_limit_db", 0), ("ic_limit_db", 0)):
@@ -135,8 +131,6 @@ class AgentHyperparams:
                 raise ConfigurationError(f"{name} must list at least one step")
         if self.lr <= 0:
             raise ConfigurationError("lr must be positive")
-        if self.actor_lr is not None and self.actor_lr <= 0:
-            raise ConfigurationError("actor_lr must be positive")
         if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
             raise ConfigurationError("epsilon schedule must satisfy 0 <= end <= start <= 1")
         if not 0.0 < self.eps_decay_frac <= 1.0:
@@ -155,22 +149,6 @@ class AgentHyperparams:
 def agent_stream(seed: int, key: int) -> np.random.Generator:
     """Named, independent generator derived from one agent seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(key,)))
-
-
-class OrnsteinUhlenbeckNoise:
-    """Temporally correlated exploration noise (selectable alternative)."""
-
-    def __init__(self, size: int, theta: float = 0.15, dt: float = 1.0):
-        self.theta, self.dt, self.state = theta, dt, np.zeros(size)
-
-    def reset(self) -> None:
-        self.state[:] = 0.0
-
-    def __call__(self, rng: np.random.Generator, sigma: np.ndarray) -> np.ndarray:
-        self.state = self.state - self.theta * self.state * self.dt
-        if np.any(sigma > 0.0):     # no draw when there is nothing to diffuse
-            self.state += sigma * np.sqrt(self.dt) * rng.standard_normal(self.state.shape)
-        return self.state.copy()
 
 
 def discrete_action_table(power_step_db=(1.0, 3.0), codebook_size: int = 2) -> list[tuple]:
@@ -358,8 +336,8 @@ class DiscreteAgent(BaseAgent):
     Subclasses call ``_init_actions`` and supply ``action_values(states)``,
     one value per table entry for each state.  The greedy choice is their
     argmax, unless it leads action 0 by at most ``greedy_margin``: then it
-    falls back to action 0.  ``act`` explores on the given generator and
-    maps the chosen entry onto an absolute env action.
+    falls back to action 0.  ``act`` explores on the given generator, one
+    state at a time, and maps the chosen entry onto an absolute env action.
     """
 
     greedy_margin = 0.0
@@ -378,6 +356,8 @@ class DiscreteAgent(BaseAgent):
         return self.hyper.epsilon_at(self._episode)
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
+        if explore and state.ndim > 1:     # one epsilon test would steer every row alike
+            raise ContractViolation("only a one-state act may explore")
         if explore and self._explore_rng.random() < self.epsilon:
             joint = self._explore_rng.integers(len(self.actions))
         else:
@@ -418,3 +398,38 @@ class ActionScaler:
 
     def to_normalized(self, env_action) -> np.ndarray:
         return 2.0 * (np.asarray(env_action, dtype=float) - self.low) / self.span - 1.0
+
+
+class ReplayLearner(BaseAgent):
+    """A network learner trained from uniform replay minibatches.
+
+    ``observe`` stores each transition through ``_store``, which runs one
+    ``train_step``; the subclass's ``train_step`` takes its batch from
+    ``_minibatch`` and returns its loss, or None while the buffer is short.
+    """
+
+    def __init__(self, env, hyper: AgentHyperparams, seed: int, batch_size: int | None = None):
+        self.hyper = hyper
+        self.batch_size = hyper.batch_size if batch_size is None else batch_size
+        self.updates = 0    # minibatch updates run
+        self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
+        self.buffer = ReplayBuffer(hyper.replay_capacity, agent_stream(seed, 2))
+
+    def _store(self, state, action, reward, next_state, terminated):
+        """Push one transition and run one train_step; returns its loss or None."""
+        self.buffer.push(Transition(state, action, reward, next_state, terminated))
+        return self.train_step()
+
+    def _minibatch(self):
+        """One sampled batch, counted as an update, or None while the buffer is short.
+
+        Gives the normalized states, the actions, the scaled rewards, the
+        normalized next states and the bootstrap weights ``discount * (1 -
+        terminal)``: only an abort drops the bootstrap term.
+        """
+        if len(self.buffer) < self.batch_size:
+            return None
+        states, actions, rewards, next_states, terminals = self.buffer.sample(self.batch_size)
+        self.updates += 1
+        return (self.normalize(states), actions, rewards * self.hyper.reward_scale,
+                self.normalize(next_states), self.hyper.discount * (1.0 - terminals))

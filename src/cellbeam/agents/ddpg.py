@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..neuralnet import AdamOptimizer, GradientSet, Mlp, soft_update
-from .common import (ActionScaler, AgentHyperparams, BaseAgent, OrnsteinUhlenbeckNoise,
-                     ReplayBuffer, Transition, agent_stream)
+from .common import ActionScaler, AgentHyperparams, ReplayLearner, agent_stream
 
 
 def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
@@ -40,58 +39,17 @@ def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
     return actor.backward(-dq_daction)
 
 
-def ddpg_train_step(buffer: ReplayBuffer, actor: Mlp, critic: Mlp, target_actor: Mlp,
-                    target_critic: Mlp, actor_opt: AdamOptimizer, critic_opt: AdamOptimizer,
-                    hyper: AgentHyperparams, normalize, scaler: ActionScaler,
-                    batch_size: int | None = None):
-    """One minibatch update of critic, actor and both target networks.
-
-    Returns the critic loss, or None (no-op) while the buffer is smaller
-    than the batch.  Terminated (aborted) transitions drop the bootstrap
-    term; horizon-truncated ones keep it.
-    """
-    batch_size = hyper.batch_size if batch_size is None else batch_size
-    if len(buffer) < batch_size:
-        return None
-    states, actions, rewards, next_states, terminals = buffer.sample(batch_size)
-    states_n = normalize(states)
-    next_states_n = normalize(next_states)
-    actions_n = scaler.applicable(scaler.to_normalized(actions))
-    rewards = rewards * hyper.reward_scale
-
-    next_actions_n = scaler.applicable(target_actor.forward(next_states_n))
-    next_q = target_critic.forward(
-        np.concatenate([next_states_n, next_actions_n], axis=1))[:, 0]
-    targets = rewards + hyper.discount * (1.0 - terminals) * next_q
-
-    q = critic.forward(np.concatenate([states_n, actions_n], axis=1))[:, 0]
-    error = q - targets
-    loss = float(np.mean(error ** 2))
-    critic_opt.step(critic.backward((2.0 * error / batch_size)[:, None]))
-
-    actor_opt.step(actor_policy_gradient(critic, actor, states_n, scaler))
-
-    soft_update(target_critic, critic, hyper.tau)
-    soft_update(target_actor, actor, hyper.tau)
-    return loss
-
-
-class DdpgAgent(BaseAgent):
+class DdpgAgent(ReplayLearner):
     """Continuous power/beam controller with replay and Polyak-averaged targets."""
 
     name = "ddpg"
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int,
                  batch_size: int | None = None):
-        self.hyper = hyper
-        self.batch_size = hyper.batch_size if batch_size is None else batch_size
-        self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
+        super().__init__(env, hyper, seed, batch_size)
         self.scaler = ActionScaler(env.action_low, env.action_high)
-        self.updates = 0    # minibatch updates run
-
         init_rng = agent_stream(seed, 0)
         self._noise_rng = agent_stream(seed, 1)
-        buffer_rng = agent_stream(seed, 2)
 
         n_actions = len(env.action_low)
         hidden = [hyper.width] * hyper.depth
@@ -101,13 +59,10 @@ class DdpgAgent(BaseAgent):
         self.critic = Mlp([8 + n_actions] + hidden + [1], rng=init_rng,
                           final_layer_scale=hyper.final_layer_scale)
         self.target_actor, self.target_critic = self.actor.copy(), self.critic.copy()
-        actor_lr = hyper.lr if hyper.actor_lr is None else hyper.actor_lr
-        self.actor_opt = AdamOptimizer(self.actor, lr=actor_lr,
+        self.actor_opt = AdamOptimizer(self.actor, lr=hyper.lr,
                                        weight_decay=hyper.actor_weight_decay)
         self.critic_opt = AdamOptimizer(self.critic, lr=hyper.lr,
                                         weight_decay=hyper.critic_weight_decay)
-        self.buffer = ReplayBuffer(hyper.replay_capacity, buffer_rng)
-        self._ou = OrnsteinUhlenbeckNoise(n_actions) if hyper.use_ou_noise else None
 
     @property
     def noise_sigma(self) -> np.ndarray:
@@ -120,35 +75,45 @@ class DdpgAgent(BaseAgent):
         scale = 1.0 + (self.hyper.noise_end_frac - 1.0) * frac
         return self.hyper.noise_scale * scale * (self.scaler.high - self.scaler.low)
 
-    def begin_episode(self, state: np.ndarray) -> None:
-        if self._ou is not None:
-            self._ou.reset()
-
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
-        """The actor's action, plus OU or Gaussian noise when exploring, clamped to bounds."""
+        """The actor's action, plus Gaussian noise when exploring, clamped to bounds."""
         # a (B, 1, 8) stack gives each row of a block its one-state bits
         normalized = self.actor.forward(self.normalize(state)[..., None, :])[..., 0, :]
         action = self.scaler.to_env(normalized)
         if explore:
             sigma = self.noise_sigma
-            if self._ou is not None:
-                action = action + self._ou(self._noise_rng, sigma)
-            elif np.any(sigma > 0.0):
+            if np.any(sigma > 0.0):
                 action = action + self._noise_rng.normal(0.0, 1.0, action.shape) * sigma
         return np.minimum(np.maximum(action, self.scaler.low), self.scaler.high)
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
-        self.buffer.push(Transition(np.asarray(state, dtype=float),
-                                    np.asarray(action, dtype=float), float(reward),
-                                    np.asarray(next_state, dtype=float), bool(terminated)))
-        return self.train_step()
+        return self._store(state, action, reward, next_state, terminated)
 
     def train_step(self):
-        loss = ddpg_train_step(self.buffer, self.actor, self.critic, self.target_actor,
-                               self.target_critic, self.actor_opt, self.critic_opt,
-                               self.hyper, self.normalize, self.scaler, self.batch_size)
-        if loss is not None:
-            self.updates += 1
+        """One minibatch update of critic, actor and both target networks.
+
+        Returns the critic loss, or None (no-op) while the buffer is smaller
+        than the batch.
+        """
+        batch = self._minibatch()
+        if batch is None:
+            return None
+        states, actions, rewards, next_states, bootstrap = batch
+        scaler, critic, actor = self.scaler, self.critic, self.actor
+        next_actions = scaler.applicable(self.target_actor.forward(next_states))
+        next_q = self.target_critic.forward(
+            np.concatenate([next_states, next_actions], axis=1))[:, 0]
+        targets = rewards + bootstrap * next_q
+
+        actions = scaler.applicable(scaler.to_normalized(actions))
+        error = critic.forward(np.concatenate([states, actions], axis=1))[:, 0] - targets
+        loss = float(np.mean(error ** 2))
+        self.critic_opt.step(critic.backward((2.0 * error / self.batch_size)[:, None]))
+
+        self.actor_opt.step(actor_policy_gradient(critic, actor, states, scaler))
+
+        soft_update(self.target_critic, critic, self.hyper.tau)
+        soft_update(self.target_actor, actor, self.hyper.tau)
         return loss
 
     def save(self, directory) -> None:

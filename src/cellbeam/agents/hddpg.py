@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..environment import hierarchical_reward
-from .common import AgentHyperparams, BaseAgent, Transition
+from .common import AgentHyperparams, BaseAgent
 from .ddpg import DdpgAgent
 
 
@@ -43,8 +43,6 @@ class HddpgAgent(BaseAgent):
         return self.controller.updates
 
     def begin_episode(self, state: np.ndarray) -> None:
-        self.controller.begin_episode(state)
-        self.meta.begin_episode(state)
         self._window_start = np.asarray(state, dtype=float)
         self._window_rewards = []
         self._goal = self.meta.act(state, explore=True)
@@ -61,10 +59,7 @@ class HddpgAgent(BaseAgent):
         full = len(self._window_rewards) == self.hyper.meta_period
         if full or terminated:
             meta_reward = float(np.sum(self._window_rewards))
-            self.meta.buffer.push(Transition(self._window_start, self._goal, meta_reward,
-                                             np.asarray(next_state, dtype=float),
-                                             bool(terminated)))
-            self.meta.train_step()
+            self.meta._store(self._window_start, self._goal, meta_reward, next_state, terminated)
             if full and not (terminated or truncated):
                 self._window_start = np.asarray(next_state, dtype=float)
                 self._window_rewards = []

@@ -111,15 +111,6 @@ def _parse_list(cast):
     return parse
 
 
-def _parse_bool(text):
-    value = str(text).strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # config keys that differ from their field's name; run_cell sets total_episodes
 _KEY_ALIASES = {"algorithms": "algo", "antenna_counts": "antennas",
                 "output_dir": "out", "out_format": "format"}
@@ -127,14 +118,9 @@ _DERIVED_FIELDS = ("total_episodes",)
 
 
 def _field_parser(tp):
-    """Text parser for a field type: bool, tuple[T, ...] and X | None are special."""
-    if tp is bool:
-        return _parse_bool
-    args = typing.get_args(tp)
+    """Text parser for a field type: a tuple[T, ...] takes a comma list of T."""
     if typing.get_origin(tp) is tuple:
-        return _parse_list(args[0])
-    if type(None) in args:
-        return _field_parser(next(a for a in args if a is not type(None)))
+        return _parse_list(typing.get_args(tp)[0])
     return tp
 
 
@@ -154,6 +140,7 @@ def _derive_schema() -> dict:
 
 
 CONFIG_SCHEMA = _derive_schema()
+_ENV_KEYS = {ENV_VAR_PREFIX + key.upper(): key for key in CONFIG_SCHEMA}
 
 
 def _read_config_lines(path) -> dict:
@@ -180,13 +167,14 @@ def parse_config(path=None, cli_values=None) -> RunConfig:
     CELLBEAM_<KEY> override file values, and ``cli_values`` (config key ->
     text, from command-line options) override both.  Scenario keys
     override the chosen preset field by field, whichever source names
-    the preset.
+    the preset.  A CELLBEAM_ variable that names no key is rejected.
     """
     values = _read_config_lines(path) if path is not None else {}
-    for key in CONFIG_SCHEMA:
-        env_name = ENV_VAR_PREFIX + key.upper()
-        if env_name in os.environ:
-            values[key] = (os.environ[env_name], f"environment variable {env_name}")
+    for env_name, text in os.environ.items():
+        if env_name.startswith(ENV_VAR_PREFIX):
+            if env_name not in _ENV_KEYS:
+                raise ConfigurationError(f"environment variable {env_name} names no config key")
+            values[_ENV_KEYS[env_name]] = (text, f"environment variable {env_name}")
     for key, text in (cli_values or {}).items():
         values[key] = (text, f"command-line option --{key}")
 
@@ -212,12 +200,8 @@ def serialize_config(cfg: RunConfig) -> str:
     lines = []
     for key, (section, attr, _) in CONFIG_SCHEMA.items():
         value = getattr(getattr(cfg, section), attr)
-        if value is None:
-            continue
         if isinstance(value, tuple):
             text = ",".join(str(v) for v in value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         else:   # str() of a float is its shortest round-trip repr()
             text = str(value)
         # parse_config strips each value and reads one line per key

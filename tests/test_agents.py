@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from cellbeam import harness, preset
 from cellbeam.agents import (AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent, HddpgAgent,
-                             OrnsteinUhlenbeckNoise, QLearningAgent, ReplayBuffer,
-                             StateDiscretizer, Transition, fpa_power, make_agent, qlearning_update)
+                             QLearningAgent, ReplayBuffer, StateDiscretizer, Transition, fpa_power,
+                             make_agent, qlearning_update)
 from cellbeam.agents.common import agent_stream, discrete_action_table
-from cellbeam.agents.ddpg import actor_policy_gradient, ddpg_train_step
+from cellbeam.agents.ddpg import actor_policy_gradient
 from cellbeam.environment import DownlinkEnv, SinrPolicy
 from cellbeam.errors import ConfigurationError, ContractViolation
 
@@ -326,6 +326,18 @@ def test_discrete_agents_explore_on_their_own_stream(cls, stream):
         agent.end_episode(trained=True)
 
 
+@pytest.mark.parametrize("cls, stream", [(QLearningAgent, 0), (DqnAgent, 1)])
+def test_discrete_agents_refuse_an_exploring_block(cls, stream):
+    env = make_env(m=4)
+    agent = cls(env, small_hyper(eps_start=1.0, eps_end=1.0), seed=7)
+    states = env.start(range(6))
+    with pytest.raises(ContractViolation, match="one-state"):
+        agent.act(states, explore=True)
+    # nothing was drawn, and the greedy block act still answers every row
+    assert agent._explore_rng.bit_generator.state == agent_stream(7, stream).bit_generator.state
+    assert agent.act(states, explore=False).shape == (6, 4)
+
+
 def test_discrete_action_table_shape_and_order():
     table = discrete_action_table((1.0, 3.0))
     assert len(table) == 64
@@ -368,38 +380,6 @@ def test_ddpg_act_without_noise_draws_nothing():
     action = agent.act(s, explore=True)
     assert agent._noise_rng.bit_generator.state == before
     assert np.array_equal(action, agent.act(s, explore=False))
-
-
-def test_ddpg_ou_act_without_noise_draws_nothing():
-    env = make_env(m=4)
-    agent = DdpgAgent(env, small_hyper(use_ou_noise=True, noise_scale=0.0), seed=0)
-    s = env.reset(1)
-    agent.begin_episode(s)
-    before = agent._noise_rng.bit_generator.state
-    action = agent.act(s, explore=True)
-    assert agent._noise_rng.bit_generator.state == before
-    assert np.array_equal(action, agent.act(s, explore=False))
-    assert np.array_equal(agent._ou.state, np.zeros(4))
-
-
-def test_ddpg_ou_act_matches_hand_computation():
-    env = make_env(m=4)
-    agent = DdpgAgent(env, small_hyper(use_ou_noise=True, noise_scale=0.3,
-                                       noise_end_frac=0.5), seed=5)
-    rng, ou = agent_stream(5, 1), OrnsteinUhlenbeckNoise(4)
-    low, high = env.action_low, env.action_high
-    state_span = np.where(env.state_high > env.state_low, env.state_high - env.state_low, 1.0)
-    agent.begin_episode(env.reset(0))
-    for step in range(6):
-        if step == 3:
-            agent.end_episode(trained=True)   # the noise decays between episodes
-        s = env.reset(step)
-        progress = 0.0 if step < 3 else 1 / 4   # one of total_episodes - 1 = 4 trained
-        sigma = 0.3 * (1.0 - 0.5 * progress) * (high - low)
-        normalized = 2.0 * (s - env.state_low) / state_span - 1.0
-        mean = low + (agent.actor.forward(normalized) + 1.0) / 2.0 * (high - low)
-        expected = np.clip(mean + ou(rng, sigma), low, high)
-        assert np.array_equal(agent.act(s, explore=True), expected)
 
 
 def test_ddpg_train_step_requires_buffer():
@@ -564,31 +544,21 @@ def test_hyperparams_validation():
         AgentHyperparams(meta_period=0)
     for key, bad in (("batch_size", 0), ("meta_batch_size", 0), ("controller_batch_size", 0),
                      ("width", 0), ("position_bins", 0), ("power_levels", 0),
-                     ("actor_lr", 0.0), ("actor_lr", -1e-3), ("noise_scale", -0.1),
-                     ("dqn_updates_per_step", 0), ("train_geometry_cycle", -3),
+                     ("noise_scale", -0.1), ("train_geometry_cycle", -3),
                      ("q_lr", -0.1), ("replay_capacity", 0), ("depth", -1),
                      ("actor_weight_decay", -1e-3), ("critic_weight_decay", -1e-3),
                      ("power_step_db", ()), ("q_power_step_db", ())):
         with pytest.raises(ConfigurationError, match=f"^{key} "):
             AgentHyperparams(**{key: bad})
-    assert AgentHyperparams(actor_lr=None, noise_scale=0.0,
-                            train_geometry_cycle=0).actor_lr is None
     edge = AgentHyperparams(q_lr=0.0, depth=0, replay_capacity=1, actor_weight_decay=0.0,
-                            critic_weight_decay=0.0, power_step_db=(2.0,))
+                            critic_weight_decay=0.0, power_step_db=(2.0,), noise_scale=0.0,
+                            train_geometry_cycle=0)
     assert (edge.q_lr, edge.depth, edge.replay_capacity) == (0.0, 0, 1)
     defaults = AgentHyperparams()
     assert (defaults.discount, defaults.tau, defaults.lr) == (0.9, 0.1, 1e-4)
     assert (defaults.width, defaults.depth, defaults.meta_period) == (28, 4, 3)
     assert defaults.batch_size == 128
     assert (defaults.meta_batch_size, defaults.controller_batch_size) == (64, 64)
-
-
-def test_ddpg_with_ou_noise_respects_bounds():
-    env = make_env(m=4)
-    agent = DdpgAgent(env, small_hyper(use_ou_noise=True, noise_scale=0.3), seed=8)
-    log = agent.run_episode(env, seed=0, train=True)
-    assert np.all(log.actions >= env.action_low - 1e-12)
-    assert np.all(log.actions <= env.action_high + 1e-12)
 
 
 def test_agents_save_checkpoints(tmp_path):
@@ -661,6 +631,22 @@ def test_ddpg_target_bootstraps_unless_terminated():
         next_a = agent.scaler.applicable(agent.target_actor.forward(s_n))
         next_q = agent.target_critic.forward(np.concatenate([s_n, next_a]))[0]
         target = 5.0 + (0.0 if terminated else 0.9 * next_q)
+        assert agent.train_step() == pytest.approx((q - target) ** 2, rel=1e-12)
+
+
+def test_dqn_target_bootstraps_unless_terminated():
+    env = make_env()
+    s = env.reset(0)
+    for terminated in (False, True):
+        agent = DqnAgent(env, small_hyper(reward_scale=1.0), seed=1)
+        for _ in range(8):
+            agent.buffer.push(Transition(s, 3, 5.0, s, terminated))
+        s_n = agent.normalize(s)
+        adv = agent.adv_net.forward(s_n).copy()
+        q = agent.value_net.forward(s_n)[0] + adv[3] - adv.mean()
+        next_adv = agent.target_adv_net.forward(s_n).copy()
+        next_q = agent.target_value_net.forward(s_n)[0] + next_adv - next_adv.mean()
+        target = 5.0 + (0.0 if terminated else 0.9 * next_q.max())
         assert agent.train_step() == pytest.approx((q - target) ** 2, rel=1e-12)
 
 

@@ -86,6 +86,19 @@ def test_env_var_override(tmp_path, monkeypatch):
     assert cfg.hyper.tau == 0.2
 
 
+@pytest.mark.parametrize("name", ["CELLBEAM_EPISODE", "CELLBEAM_USE_OU_NOISE",
+                                  "CELLBEAM_episodes", "CELLBEAM_"])
+def test_env_var_naming_no_key_is_rejected(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.setenv(name, "5")
+    with pytest.raises(ConfigurationError, match=f"environment variable {name} "):
+        harness.parse_config()
+    out = tmp_path / "o"
+    assert harness.main(["--algo", "fpa", "--antennas", "1", "--episodes", "2",
+                         "--out", str(out)]) == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_round_trip(tmp_path):
     path = tmp_path / "cfg"
     path.write_text("algo=ddpg,hddpg\nantennas=1,4\nseeds=0,5\nepisodes=12\ntau=0.3\n")
@@ -395,7 +408,6 @@ REFERENCE_SCHEMA = {
     "discount": ("hyper", "discount"),
     "tau": ("hyper", "tau"),
     "lr": ("hyper", "lr"),
-    "actor_lr": ("hyper", "actor_lr"),
     "width": ("hyper", "width"),
     "depth": ("hyper", "depth"),
     "batch_size": ("hyper", "batch_size"),
@@ -404,12 +416,10 @@ REFERENCE_SCHEMA = {
     "meta_period": ("hyper", "meta_period"),
     "noise_scale": ("hyper", "noise_scale"),
     "noise_end_frac": ("hyper", "noise_end_frac"),
-    "use_ou_noise": ("hyper", "use_ou_noise"),
     "eps_start": ("hyper", "eps_start"),
     "eps_end": ("hyper", "eps_end"),
     "eps_decay_frac": ("hyper", "eps_decay_frac"),
     "replay_capacity": ("hyper", "replay_capacity"),
-    "dqn_updates_per_step": ("hyper", "dqn_updates_per_step"),
     "dqn_greedy_margin": ("hyper", "dqn_greedy_margin"),
     "reward_scale": ("hyper", "reward_scale"),
     "final_layer_scale": ("hyper", "final_layer_scale"),
@@ -453,7 +463,6 @@ _KEY_VALUES = {
     "scenario": st.sampled_from(sorted(SCENARIO_PRESETS)),
     "out": st.text(max_size=12),
     "format": st.sampled_from(("csv", "json")),
-    "actor_lr": st.none() | _UNIT_FLOATS,
     "power_step_db": _FLOAT_TUPLES,
     "q_power_step_db": _FLOAT_TUPLES,
     # the action ranges need multiplier * M >= 1 and a cap (30 dBm at 1 W) above the floor
@@ -461,8 +470,7 @@ _KEY_VALUES = {
     "max_bs_power_w": st.floats(1.0, 100.0),
 }
 # every other key by its parser; floats in (0, 1) satisfy every other range check
-_PARSER_VALUES = {int: st.integers(1, 10**6), float: _UNIT_FLOATS,
-                  harness._parse_bool: st.booleans()}
+_PARSER_VALUES = {int: st.integers(1, 10**6), float: _UNIT_FLOATS}
 
 
 @st.composite
@@ -540,7 +548,7 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
                      ("gamma0_db", "inf"), ("power_floor_dbm", "-inf"), ("pc_limit_db", "inf"),
                      ("noise_scale", "inf"), ("ue_speed_kmh", "inf"),
                      ("noise_power_dbm", "inf"), ("noise_power_dbm", "-inf"),
-                     ("actor_lr", "inf"), ("q_power_step_db", "3,-inf"),
+                     ("q_power_step_db", "3,-inf"),
                      # action ranges whose top lies below the bottom at M=1
                      ("pc_limit_db", "-5"), ("ic_limit_db", "-1"),
                      ("bf_limit_multiplier", "-1"), ("bf_limit_multiplier", "0.5"),
