@@ -74,7 +74,7 @@ class ReplayBuffer:
         if batch_size > len(self):
             raise ContractViolation("not enough stored transitions to sample")
         idx = self.rng.choice(len(self), size=batch_size, replace=False)
-        return tuple(a[idx] for a in self._arrays)
+        return tuple(a.take(idx, axis=0) for a in self._arrays)
 
 
 @dataclass
@@ -237,7 +237,8 @@ class _Frames:
         # the mean power as sum / count, like np.mean; min() guards the dBm->W round
         # trip landing a few ulp above the cap
         watts = info["powers_w"]
-        norm_power = np.minimum(1.0, watts.sum(axis=-1) / watts.shape[-1] / self.max_power_w)
+        norm_power = np.minimum(1.0, np.add.reduce(watts, axis=-1) / watts.shape[-1]
+                                / self.max_power_w)
         for name, value in (("actions", actions), ("rewards", outcome.reward),
                             ("losses", np.nan if loss is None else loss),
                             ("eff_sinr_db", info["eff_sinr_db"]),
@@ -245,8 +246,9 @@ class _Frames:
                             ("beam_indices", info["beam_indices"])):
             self.arrays[name][:, t] = value
         self.t = t = t + 1
-        aborted, ended = np.reshape(outcome.terminated, -1), np.reshape(outcome.done, -1)
-        if ended.any():
+        ended = np.reshape(outcome.done, -1)
+        if np.count_nonzero(ended):
+            aborted = np.reshape(outcome.terminated, -1)
             for row in np.flatnonzero(ended):
                 self.logs[self.ids[row]] = EpisodeLog(
                     seed=self.seeds[self.ids[row]], aborted=bool(aborted[row]),

@@ -44,12 +44,12 @@ class DdpgAgent(ReplayLearner):
 
     name = "ddpg"
 
-    def __init__(self, env, hyper: AgentHyperparams, seed: int,
-                 batch_size: int | None = None):
+    def __init__(self, env, hyper: AgentHyperparams, seed: int, batch_size: int | None = None):
         super().__init__(env, hyper, seed, batch_size)
         self.scaler = ActionScaler(env.action_low, env.action_high)
         init_rng = agent_stream(seed, 0)
         self._noise_rng = agent_stream(seed, 1)
+        self._sigma = (None,)   # (trained episodes, noise_sigma, any entry > 0)
 
         n_actions = len(env.action_low)
         hidden = [hyper.width] * hyper.depth
@@ -66,14 +66,17 @@ class DdpgAgent(ReplayLearner):
 
     @property
     def noise_sigma(self) -> np.ndarray:
-        """Per-dimension exploration std, decaying linearly to a floor.
+        """Per-dimension exploration std, decaying linearly to a floor; set once per episode.
 
         A non-zero floor keeps replay coverage stationary over training,
         which stops the critic from soaking up time-trend confounds.
         """
-        frac = self.hyper.decay_progress(self._episode)
-        scale = 1.0 + (self.hyper.noise_end_frac - 1.0) * frac
-        return self.hyper.noise_scale * scale * (self.scaler.high - self.scaler.low)
+        if self._sigma[0] != self._episode:
+            frac = self.hyper.decay_progress(self._episode)
+            scale = 1.0 + (self.hyper.noise_end_frac - 1.0) * frac
+            sigma = self.hyper.noise_scale * scale * (self.scaler.high - self.scaler.low)
+            self._sigma = (self._episode, sigma, bool(np.any(sigma > 0.0)))
+        return self._sigma[1]
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """The actor's action, plus Gaussian noise when exploring, clamped to bounds."""
@@ -82,7 +85,7 @@ class DdpgAgent(ReplayLearner):
         action = self.scaler.to_env(normalized)
         if explore:
             sigma = self.noise_sigma
-            if np.any(sigma > 0.0):
+            if self._sigma[2]:
                 action = action + self._noise_rng.normal(0.0, 1.0, action.shape) * sigma
         return np.minimum(np.maximum(action, self.scaler.low), self.scaler.high)
 
@@ -107,7 +110,7 @@ class DdpgAgent(ReplayLearner):
 
         actions = scaler.applicable(scaler.to_normalized(actions))
         error = critic.forward(np.concatenate([states, actions], axis=1))[:, 0] - targets
-        loss = float(np.mean(error ** 2))
+        loss = float(np.add.reduce(error * error) / self.batch_size)
         self.critic_opt.step(critic.backward((2.0 * error / self.batch_size)[:, None]))
 
         self.actor_opt.step(actor_policy_gradient(critic, actor, states, scaler))

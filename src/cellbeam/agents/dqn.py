@@ -36,11 +36,9 @@ class DqnAgent(DiscreteAgent, ReplayLearner):
         self.value_opt = AdamOptimizer(self.value_net, lr=hyper.lr)
         self.adv_opt = AdamOptimizer(self.adv_net, lr=hyper.lr,
                                      weight_decay=hyper.critic_weight_decay)
-
-    def _q_from(self, value_net: Mlp, adv_net: Mlp, states: np.ndarray) -> np.ndarray:
-        value = value_net.forward(states)
-        adv = adv_net.forward(states)
-        return value + adv - adv.mean(axis=1, keepdims=True)
+        # dQ/dA_j = 1[j = a] - 1/|A| in row a: the bits of -1/|A| + 1[j = a]
+        self._dq_dadv = np.eye(len(self.actions)) - 1.0 / len(self.actions)
+        self._rows = np.arange(self.batch_size)
 
     def action_values(self, states: np.ndarray) -> np.ndarray:
         # argmax over Q equals argmax over the advantages alone
@@ -54,21 +52,29 @@ class DqnAgent(DiscreteAgent, ReplayLearner):
         if batch is None:
             return None
         states, actions, rewards, next_states, bootstrap = batch
-        next_q = self._q_from(self.target_value_net, self.target_adv_net, next_states)
-        targets = rewards + bootstrap * next_q.max(axis=1)
+        n_actions = len(self.actions)
+        # Q = V + A - mean_a A; rounding is monotone, so max_a fl(fl(V + A) - mean)
+        # is fl(fl(V + max_a A) - mean)
+        next_q = self.target_value_net.forward(next_states)[:, 0]
+        next_adv = self.target_adv_net.forward(next_states)
+        next_q += next_adv.max(axis=1)
+        next_q -= np.add.reduce(next_adv, axis=1) / n_actions
+        targets = rewards + bootstrap * next_q
 
-        q_all = self._q_from(self.value_net, self.adv_net, states)
-        rows, action_ids = np.arange(self.batch_size), actions.astype(int)
-        error = q_all[rows, action_ids] - targets
-        loss = float(np.mean(error ** 2))
+        # the online Q only at the taken actions
+        action_ids = actions.astype(int)
+        error = self.value_net.forward(states)[:, 0]
+        adv = self.adv_net.forward(states)
+        error += adv[self._rows, action_ids]
+        error -= np.add.reduce(adv, axis=1) / n_actions
+        error -= targets
+        loss = float(np.add.reduce(error * error) / self.batch_size)
 
         scaled = 2.0 * error / self.batch_size
-        n_actions = len(self.actions)
-        # dQ/dV = 1; dQ/dA_j = 1[j = a] - 1/|A|
-        upstream_adv = np.full((self.batch_size, n_actions), -1.0 / n_actions)
-        upstream_adv[rows, action_ids] += 1.0
+        # dQ/dV = 1; dQ/dA is the taken action's row of _dq_dadv
+        upstream_adv = self._dq_dadv.take(action_ids, axis=0)
         upstream_adv *= scaled[:, None]
-        # both online nets still hold the activations of _q_from(states) above
+        # both online nets still hold the activations of their forward(states) above
         self.value_opt.step(self.value_net.backward(scaled[:, None]))
         self.adv_opt.step(self.adv_net.backward(upstream_adv))
         soft_update(self.target_value_net, self.value_net, self.hyper.tau)

@@ -28,8 +28,7 @@ class HddpgAgent(BaseAgent):
         self.hyper = hyper
         # the controller derives its streams exactly like a plain DDPG agent
         # with the same seed, so the two degenerate to each other
-        self.controller = DdpgAgent(env, hyper, seed,
-                                    batch_size=hyper.controller_batch_size)
+        self.controller = DdpgAgent(env, hyper, seed, batch_size=hyper.controller_batch_size)
         meta_seed = int(np.random.SeedSequence(seed, spawn_key=(1000,)).generate_state(1)[0])
         self.meta = DdpgAgent(env, hyper, meta_seed, batch_size=hyper.meta_batch_size)
         self.meta.name = "hddpg_meta"
@@ -51,8 +50,7 @@ class HddpgAgent(BaseAgent):
         return self.controller.act(state, explore=explore)
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
-        shaped = hierarchical_reward(reward, self._goal, action,
-                                     self.hyper.goal_penalty_weight)
+        shaped = hierarchical_reward(reward, self._goal, action, self.hyper.goal_penalty_weight)
         loss = self.controller.observe(state, action, shaped, next_state, terminated)
 
         self._window_rewards.append(float(reward))

@@ -62,17 +62,25 @@ class QLearningAgent(DiscreteAgent):
         self.table: dict = {}
         self._unvisited = np.zeros(len(self.actions))
         self.discretizer = StateDiscretizer(env, hyper.position_bins, hyper.power_levels)
+        self._keyed = (None, None)     # (state bytes, key) of the last state keyed
+
+    def _key(self, state: np.ndarray):
+        """``discretizer.key(state)``; a step's next state is the next act's and step's state."""
+        data = state.tobytes()
+        if data != self._keyed[0]:
+            self._keyed = (data, self.discretizer.key(state))
+        return self._keyed[1]
 
     def action_values(self, states: np.ndarray) -> np.ndarray:
         # an unvisited row reads as zeros, so its argmax is action 0
-        keys = self.discretizer.key(states)
         if np.ndim(states) == 1:
-            return self.table.get(keys, self._unvisited)
-        return np.array([self.table.get(key, self._unvisited) for key in keys])
+            return self.table.get(self._key(states), self._unvisited)
+        return np.array([self.table.get(key, self._unvisited)
+                         for key in self.discretizer.key(states)])
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
-        qlearning_update(self.table, self.discretizer.key(state), self._last_joint,
-                         reward, self.discretizer.key(next_state), self.hyper.q_lr,
+        qlearning_update(self.table, self._key(state), self._last_joint,
+                         reward, self._key(next_state), self.hyper.q_lr,
                          self.hyper.discount, done=terminated, n_actions=len(self.actions))
         return None
 

@@ -11,7 +11,7 @@ exact same trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -119,6 +119,10 @@ class Topology:
     def num_ues(self) -> int:
         return self.serving_map.shape[0]
 
+    def moved(self, ue_positions, ue_headings) -> "Topology":
+        """The same deployment with other UE positions and headings; cheaper than ``replace``."""
+        return Topology(self.bs_positions, ue_positions, self.serving_map, ue_headings, self.num_bs)
+
     def serving_distance_m(self, ue: int):
         """UE ``ue``'s distance to its serving BS; one per episode on a block."""
         bs = self.bs_positions[self.serving_map[ue]]
@@ -189,8 +193,7 @@ def step_mobility(topology: Topology, scenario: Scenario, rng) -> Topology:
         vel -= 2.0 * np.sum(vel * unit, axis=1, keepdims=True) * unit
         headings[outside] = np.mod(np.arctan2(vel[:, 1], vel[:, 0]), 2.0 * math.pi)
         t += f + 1
-    return replace(topology, ue_positions=walked if drawn else walked[0],
-                   ue_headings=heads if drawn else heads[0])
+    return topology.moved(walked if drawn else walked[0], heads if drawn else heads[0])
 
 
 def pathloss_db(distance_m, carrier_freq_hz: float, p_los: float = 1.0) -> np.ndarray:
@@ -220,7 +223,7 @@ def doppler_correlation(scenario: Scenario) -> float:
     """
     f_doppler = scenario.ue_speed_mps * scenario.carrier_freq_hz / SPEED_OF_LIGHT
     x = 2.0 * math.pi * f_doppler * scenario.frame_duration_s
-    return float(np.clip(1.0 - x * x / 4.0, 0.0, 1.0))
+    return min(max(1.0 - x * x / 4.0, 0.0), 1.0)
 
 
 @dataclass
@@ -334,15 +337,17 @@ def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarr
     powers_w = np.asarray(powers_w, dtype=float)
     if powers_w.shape != vectors.shape[:-2]:
         raise ContractViolation("one transmit power per base station is required")
-    if (powers_w < 0.0).any():
+    if np.count_nonzero(powers_w < 0.0):    # cheaper than .any() on a few entries
         raise ContractViolation("transmit powers must be non-negative")
-    if (powers_w > scenario.max_bs_power_w * (1.0 + 1e-12)).any():
+    if np.count_nonzero(powers_w > scenario.max_bs_power_w * (1.0 + 1e-12)):
         raise ContractViolation("transmit powers must not exceed max_bs_power_w")
 
-    beam_vectors = np.asarray(beam_vectors)
     # plain transpose product: the receive model uses h^T f
-    rx = powers_w[..., None] * np.abs(
-        np.einsum("...lum,...lm->...lu", vectors, beam_vectors)) ** 2
+    rx = np.abs(np.einsum("...lum,...lm->...lu", vectors, np.asarray(beam_vectors)))
+    rx *= rx
+    rx *= powers_w[..., None]
     signal = rx[..., topology.serving_map, np.arange(topology.num_ues)]
-    interference = rx.sum(axis=-2) - signal
-    return signal / (interference + scenario.noise_power_w)
+    interference = np.add.reduce(rx, axis=-2)
+    interference -= signal
+    interference += scenario.noise_power_w
+    return np.divide(signal, interference, out=signal)

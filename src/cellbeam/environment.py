@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .beamcode import beam_from_continuous, build_codebook
 from .errors import ConfigurationError, ContractViolation, UsageError
 
 ACTION_SIZE = 4
+WATTS_CACHED = 1024     # applied powers a DownlinkEnv keeps in watts; DDPG's are continuous
 
 
 @dataclass(frozen=True)
@@ -38,13 +40,13 @@ class SinrPolicy:
     def gamma_target_db(self) -> float:
         return self.gamma0_db + 10.0 * math.log10(self.m_antennas)
 
-    @property
+    @cached_property    # effective_db reads it every frame
     def gamma_max_db(self) -> float:
         return self.gamma0_db + 10.0 * math.log2(self.m_antennas)
 
     def effective_db(self, raw_db) -> np.ndarray:
         """Clamp raw SINR (dB) into the reportable band [0, gamma_max]."""
-        return np.clip(raw_db, 0.0, self.gamma_max_db)
+        return np.minimum(np.maximum(raw_db, 0.0), self.gamma_max_db)
 
 
 @dataclass
@@ -67,7 +69,7 @@ def hierarchical_reward(step_reward: float, goal, action, weight: float = 1.0) -
     goal, action = np.asarray(goal, dtype=float), np.asarray(action, dtype=float)
     if goal.shape != action.shape:
         raise ContractViolation("goal and action must have the same arity")
-    return float(step_reward - weight * np.abs(goal - action).sum())
+    return float(step_reward - weight * np.add.reduce(np.abs(goal - action), axis=None))
 
 
 class DownlinkEnv:
@@ -93,13 +95,13 @@ class DownlinkEnv:
             raise ConfigurationError("SinrPolicy antenna count must match the environment")
         self.power_floor_dbm = float(power_floor_dbm)
         # one requested-power span per BS role (power control / interference coordination)
-        self.power_span_db = np.broadcast_to(
-            np.asarray(power_span_db, dtype=float), (2,)).copy()
+        self.power_span_db = np.broadcast_to(np.asarray(power_span_db, dtype=float), (2,)).copy()
         self.bf_limit = bf_limit_multiplier * self.m_antennas - 1.0
         if self.power_floor_dbm > scenario.max_bs_power_dbm:
             raise ConfigurationError("power_floor_dbm exceeds the maximum transmit power")
         if self.bf_limit < 0.0:
             raise ConfigurationError(f"bf_limit_multiplier must be >= 1/M = 1/{self.m_antennas}")
+        self._watts = {}     # dBm -> chan.dbm_to_watts(dBm), WATTS_CACHED at most after a frame
         self._frames = self.channel_state = None
         self._done = True
 
@@ -136,8 +138,7 @@ class DownlinkEnv:
     def topology(self) -> chan.Topology:
         """The current frame's geometry."""
         k, frames = self._t - self._t0, self._frames
-        return replace(frames, ue_positions=frames.ue_positions[k],
-                       ue_headings=frames.ue_headings[k])
+        return frames.moved(frames.ue_positions[k], frames.ue_headings[k])
 
     def start(self, seeds, topology_seeds=None) -> np.ndarray:
         """Start one episode per seed as a lockstep block; returns the (B, 8) states.
@@ -153,10 +154,11 @@ class DownlinkEnv:
         self._normals = np.empty((2, self.horizon + 1, b, 2, 2, self.scenario.n_paths))
         drops, paths, turns = zip(*map(self._streams, seeds, topology_seeds or [None] * b,
                                        self._normals.swapaxes(0, 2)))
-        self._frames = replace(drops[0], ue_headings=np.stack([d.ue_headings for d in drops])[None],
-                               ue_positions=np.stack([d.ue_positions for d in drops])[None])
-        self._turns, self._rows = np.stack(turns, axis=1), np.arange(b)   # (T, B, U)
-        angles, los = map(np.stack, zip(*paths))
+        # np.array of equal-shape arrays stacks them, without np.stack's overhead
+        self._frames = drops[0].moved(np.array([d.ue_positions for d in drops])[None],
+                                      np.array([d.ue_headings for d in drops])[None])
+        self._turns, self._rows = np.array(turns).swapaxes(0, 1), np.arange(b)   # (T, B, U)
+        angles, los = map(np.array, zip(*paths))
         self.channel_state = chan.draw_channels(
             self._frames, self.scenario, self.m_antennas,
             chan.ChannelState(None, path_angles=angles, los=los),
@@ -170,8 +172,7 @@ class DownlinkEnv:
     def keep(self, rows) -> None:
         """Drop every episode of the block but those at ``rows``."""
         frames, state = self._frames, self.channel_state
-        self._frames = replace(frames, ue_positions=frames.ue_positions[:, rows],
-                               ue_headings=frames.ue_headings[:, rows])
+        self._frames = frames.moved(frames.ue_positions[:, rows], frames.ue_headings[:, rows])
         self.channel_state = replace(
             state, path_angles=state.path_angles[rows], los=state.los[rows],
             steering=state.steering[rows], path_gains=state.path_gains[:, rows],
@@ -210,13 +211,11 @@ class DownlinkEnv:
             raise UsageError("the block is past its horizon; call start() first")
         t1 = min(t0 + self.chunk_frames, self.horizon + 1)
         self._frames = chan.step_mobility(
-            replace(frames, ue_positions=frames.ue_positions[-1],
-                    ue_headings=frames.ue_headings[-1]),
+            frames.moved(frames.ue_positions[-1], frames.ue_headings[-1]),
             self.scenario, self._turns[t0 - 1:t1 - 1, self._rows])
-        self.channel_state = chan.draw_channels(
-            self._frames, self.scenario, self.m_antennas,
-            replace(state, path_gains=state.path_gains[-1]),
-            normals=self._normals[:, t0:t1, self._rows])
+        state.path_gains = state.path_gains[-1]     # the fade goes on from the last frame
+        chan.draw_channels(self._frames, self.scenario, self.m_antennas, state,
+                           normals=self._normals[:, t0:t1, self._rows])
         self._t0 = t0
 
     def apply_action(self, action) -> tuple[np.ndarray, np.ndarray]:
@@ -240,22 +239,26 @@ class DownlinkEnv:
         if self._t - self._t0 == len(self._frames.ue_positions):
             self._derive()
 
-        # scalar ``**`` per entry: numpy's vectorised power rounds some inputs differently
-        powers_w = np.array([chan.dbm_to_watts(p) for p in self._powers_dbm.flat]
+        # chan.dbm_to_watts per entry (numpy's vectorised power rounds some inputs
+        # differently), through a per-value cache that empties once it overfills
+        powers_w = np.array([self._watts.get(p) or self._watts.setdefault(p, chan.dbm_to_watts(p))
+                             for p in self._powers_dbm.ravel().tolist()]
                             ).reshape(self._powers_dbm.shape)
+        if len(self._watts) > WATTS_CACHED:
+            self._watts.clear()
         sinr_lin = chan.compute_sinr(chan.channel_vectors(self.channel_state, self._t - self._t0),
                                      self._frames, self.codebook.vectors[self._beams],
                                      powers_w, self.scenario)
-        with np.errstate(divide="ignore"):
-            raw_db = np.where(sinr_lin > 0.0, 10.0 * np.log10(
-                np.where(sinr_lin > 0.0, sinr_lin, 1.0)), -np.inf)
+        raw_db = np.full(sinr_lin.shape, -np.inf)
+        np.log10(sinr_lin, out=raw_db, where=sinr_lin > 0.0)
+        raw_db *= 10.0
         eff_db = self.policy.effective_db(raw_db)
 
-        aborted = (raw_db < self.policy.gamma_cutoff_db).any(axis=-1)
+        aborted = np.minimum.reduce(raw_db, axis=-1) < self.policy.gamma_cutoff_db
         info = dict(sinr_linear=sinr_lin, sinr_db=raw_db, eff_sinr_db=eff_db,
                     powers_dbm=self._powers_dbm, powers_w=powers_w,
                     beam_indices=self._beams, aborted=aborted, step=self._t)
-        return StepOutcome(next_state=self._observe(), reward=eff_db.sum(axis=-1),
+        return StepOutcome(next_state=self._observe(), reward=np.add.reduce(eff_db, axis=-1),
                            terminated=aborted, truncated=~aborted & (self._t >= self.horizon),
                            info=info)
 
@@ -266,11 +269,13 @@ class DownlinkEnv:
         if np.shape(action) != (ACTION_SIZE,):
             raise ContractViolation(f"action must have {ACTION_SIZE} entries")
         out = self.advance(np.asarray(action)[None])
-        info = {key: value[0] if isinstance(value, np.ndarray) else value
-                for key, value in out.info.items()}
-        info["aborted"] = terminated = bool(info["aborted"])
-        out = StepOutcome(out.next_state[0], float(out.reward[0]), terminated,
-                          bool(out.truncated[0]), info)
+        info = out.info     # the block of one becomes its one row, in place
+        for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_dbm", "powers_w",
+                    "beam_indices"):
+            info[key] = info[key][0]
+        info["aborted"] = out.terminated = bool(out.terminated[0])
+        out.next_state, out.reward = out.next_state[0], float(out.reward[0])
+        out.truncated = bool(out.truncated[0])
         self._done = out.done
         return out
 

@@ -65,8 +65,7 @@ class ExperimentPlan:
     def validate(self) -> None:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
-                raise ConfigurationError(
-                    f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
+                raise ConfigurationError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
         for m in self.antenna_counts:
             if m not in VALID_ANTENNA_COUNTS:
                 raise ConfigurationError(
@@ -83,8 +82,7 @@ class ExperimentPlan:
             if getattr(self, key) < 1:
                 raise ConfigurationError(f"{key} must be >= 1")
         if self.scenario not in SCENARIO_PRESETS:
-            raise ConfigurationError(
-                f"unknown scenario preset {self.scenario!r}")
+            raise ConfigurationError(f"unknown scenario preset {self.scenario!r}")
         if self.out_format not in ("csv", "json"):
             raise ConfigurationError("format must be 'csv' or 'json'")
 
@@ -284,8 +282,7 @@ def validate_policy(agent, env, seeds, z: float = CONFIDENCE_Z) -> Validation | 
                       for log in agent.run_episodes(env, seeds)]) - fpa_rates
     mean = float(gains.mean())
     stderr = float(gains.std(ddof=1) / math.sqrt(len(gains)))
-    return Validation(episodes=len(gains), mean_gain=mean, stderr=stderr,
-                      trusted=mean > z * stderr)
+    return Validation(episodes=len(gains), mean_gain=mean, stderr=stderr, trusted=mean > z * stderr)
 
 
 def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
@@ -322,8 +319,7 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
                       for s, d in zip(seeds, drops)]
     validation, evaluator = None, agent
     if algo in CHECKED_ALGORITHMS:
-        validation = validate_policy(agent, env,
-                                     validation_env_seeds(cfg, algo, m_antennas, seed))
+        validation = validate_policy(agent, env, validation_env_seeds(cfg, algo, m_antennas, seed))
         if validation is None or not validation.trusted:
             evaluator = FpaAgent(env)
     is_fpa = isinstance(evaluator, FpaAgent)
@@ -372,12 +368,9 @@ def run_plan(cfg: RunConfig):
                 agent, train_logs, eval_logs, summary, samples = run_cell(
                     cfg, algo, m, seed, fpa_evals)
                 tag = f"{algo}_m{m}_seed{seed}"
-                metrics.write_episode_csv(os.path.join(out_dir, f"{tag}_train.csv"),
-                                          train_logs)
-                metrics.write_episode_csv(os.path.join(out_dir, f"{tag}_eval.csv"),
-                                          eval_logs)
-                metrics.write_json_summary(os.path.join(out_dir, f"{tag}_summary.json"),
-                                           summary)
+                metrics.write_episode_csv(os.path.join(out_dir, f"{tag}_train.csv"), train_logs)
+                metrics.write_episode_csv(os.path.join(out_dir, f"{tag}_eval.csv"), eval_logs)
+                metrics.write_json_summary(os.path.join(out_dir, f"{tag}_summary.json"), summary)
                 ckpt_dir = os.path.join(out_dir, "checkpoints", tag)
                 os.makedirs(ckpt_dir, exist_ok=True)
                 agent.save(ckpt_dir)

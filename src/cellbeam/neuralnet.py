@@ -105,8 +105,10 @@ class Mlp:
         if x.shape[-1:] != (self.widths[0],):
             raise ContractViolation(f"input shape {x.shape} does not end in width {self.widths[0]}")
         activations = [x[None] if x.ndim == 1 else x]
+        # np.dot makes matmul's BLAS call on 2-D operands, with less overhead
+        product = np.dot if x.ndim <= 2 else np.matmul
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = activations[-1] @ w
+            z = product(activations[-1], w)
             z += b
             if i < len(self.weights) - 1:
                 activations.append(np.tanh(z, out=z))
@@ -145,9 +147,9 @@ class Mlp:
             g = g * (self.output_high - self.output_low) / 2.0 * (1.0 - squash ** 2)
         for i in range(len(self.weights) - 1, -1, -1):
             if grad_w is not None:
-                np.matmul(activations[i].T, g, out=grad_w[i])
-                np.sum(g, axis=0, out=grad_b[i])
-            g = g @ self.weights[i].T
+                np.dot(activations[i].T, g, out=grad_w[i])
+                np.add.reduce(g, axis=0, out=grad_b[i])    # np.sum's reduction, without its wrapper
+            g = np.dot(g, self.weights[i].T)
             if i > 0:
                 slope = np.multiply(activations[i], activations[i])
                 np.subtract(1.0, slope, out=slope)
@@ -196,22 +198,27 @@ class AdamOptimizer:
         self.beta1, self.beta2, self.t = beta1, beta2, 0
         self._m = np.zeros_like(net.params)
         self._v = np.zeros_like(net.params)
+        self._scratch = np.empty((2,) + net.params.shape)
 
     def step(self, grads: GradientSet) -> None:
         if grads.widths != self.net.widths:
             raise ContractViolation("gradient shapes do not match the network")
         self.t += 1
         p, g, m, v = self.net.params, grads.flat, self._m, self._v
+        a, b = self._scratch     # the textbook expression's operations, in its order
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(1.0 - self.beta1, g, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
         if self.weight_decay:
             p *= 1.0 - self.lr * self.weight_decay
-        p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
-        _assert_finite(self.net)
+        step = np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
+        p -= np.divide(step, np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b),
+                       out=a)
+        if not np.isfinite(p).all():
+            raise ContractViolation("network parameters became non-finite")
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> Mlp:
@@ -223,8 +230,3 @@ def soft_update(target: Mlp, source: Mlp, tau: float) -> Mlp:
     target.params *= 1.0 - tau
     target.params += tau * source.params
     return target
-
-
-def _assert_finite(net: Mlp) -> None:
-    if not np.isfinite(net.params).all():
-        raise ContractViolation("network parameters became non-finite")

@@ -734,3 +734,79 @@ def test_validation_leaves_the_greedy_act_unchanged(name):
     for z, trusted in ((1e9, False), (-1e9, True)):
         assert harness.validate_policy(agent, env, [1, 2, 3], z=z).trusted == trusted
         assert np.array_equal(agent.act(s, explore=False), greedy)
+
+
+# -- per-step costs that keep every bit ---------------------------------------------
+
+def test_qlearning_keys_each_state_once_and_learns_the_same_table(monkeypatch):
+    env = make_env(horizon=20, policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=1))
+    hyper = small_hyper(eps_start=0.5, eps_end=0.5)    # exploring and greedy acts
+    keyed, key = [], StateDiscretizer.key
+    monkeypatch.setattr(StateDiscretizer, "key",
+                        lambda self, state: keyed.append(state.tobytes()) or key(self, state))
+    agent = QLearningAgent(env, hyper, seed=3)
+    log = agent.run_episode(env, seed=4, train=True)
+    assert log.steps == 20
+    assert len(keyed) == len(set(keyed)) == log.steps + 1
+
+    uncached = QLearningAgent(env, hyper, seed=3)
+    uncached._key = uncached.discretizer.key
+    for seed in range(5, 9):
+        agent.run_episode(env, seed=seed, train=True)
+    for seed in range(4, 9):
+        uncached.run_episode(env, seed=seed, train=True)
+    assert agent.table.keys() == uncached.table.keys()
+    assert all(agent.table[k].tobytes() == uncached.table[k].tobytes() for k in agent.table)
+
+
+_MAGNITUDES = st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+                        st.sampled_from((-1.0, 1.0)), st.floats(1.0, 9.99), st.integers(-300, 299))
+
+
+@given(st.data())
+def test_dqn_max_target_equals_the_max_over_every_q(data):
+    rows, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 40))
+    pool = data.draw(st.lists(_MAGNITUDES, min_size=1, max_size=6))   # a small pool makes ties
+    draw = st.lists(st.sampled_from(pool), min_size=rows * (n + 1), max_size=rows * (n + 1))
+    values = np.array(data.draw(draw)).reshape(rows, n + 1)
+    v, a = values[:, 0], values[:, 1:]
+    every_q = (v[:, None] + a) - a.mean(axis=1, keepdims=True)
+    fast = v + a.max(axis=1)
+    fast -= a.sum(axis=1) / n
+    assert fast.tobytes() == every_q.max(axis=1).tobytes()
+
+
+def _full_q_update(agent):
+    """One DQN update formed over every action's Q, as a reference for train_step."""
+    def q_of(value_net, adv_net, states):
+        adv = adv_net.forward(states)
+        return value_net.forward(states) + adv - adv.mean(axis=1, keepdims=True)
+
+    states, actions, rewards, next_states, bootstrap = agent._minibatch()
+    targets = rewards + bootstrap * q_of(agent.target_value_net, agent.target_adv_net,
+                                         next_states).max(axis=1)
+    rows, ids = np.arange(agent.batch_size), actions.astype(int)
+    error = q_of(agent.value_net, agent.adv_net, states)[rows, ids] - targets
+    scaled = 2.0 * error / agent.batch_size
+    upstream = np.full((agent.batch_size, len(agent.actions)), -1.0 / len(agent.actions))
+    upstream[rows, ids] += 1.0
+    upstream *= scaled[:, None]
+    agent.value_opt.step(agent.value_net.backward(scaled[:, None]))
+    agent.adv_opt.step(agent.adv_net.backward(upstream))
+    for target, source in ((agent.target_value_net, agent.value_net),
+                           (agent.target_adv_net, agent.adv_net)):
+        target.params[...] = (1.0 - agent.hyper.tau) * target.params + agent.hyper.tau * source.params
+    return float(np.mean(error ** 2))
+
+
+def test_dqn_update_equals_the_update_over_every_q():
+    env = make_env(m=4)
+    hyper = small_hyper(batch_size=16, critic_weight_decay=0.1)
+    agent, reference = DqnAgent(env, hyper, seed=5), DqnAgent(env, hyper, seed=5)
+    for seed in range(6):
+        agent.run_episode(env, seed=seed, train=True)
+        reference.run_episode(env, seed=seed, train=True)
+    for _ in range(5):
+        assert agent.train_step() == _full_q_update(reference)
+    for net in ("value_net", "adv_net", "target_value_net", "target_adv_net"):
+        assert getattr(agent, net).params.tobytes() == getattr(reference, net).params.tobytes()

@@ -9,7 +9,7 @@ from cellbeam import channel as chan
 from cellbeam import preset
 from cellbeam.agents import FpaAgent
 from cellbeam.channel import channel_vectors
-from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
+from cellbeam.environment import WATTS_CACHED, DownlinkEnv, SinrPolicy, hierarchical_reward
 from cellbeam.errors import ContractViolation, UsageError
 from cellbeam.harness import VALID_ANTENNA_COUNTS
 
@@ -364,3 +364,32 @@ def test_trace_equals_generators_stepped_frame_by_frame(m, horizon, scenario, fi
         rows = rows[alive]
     # every draw happened in start(): advance() drew nothing
     assert [g.bit_generator.state for g in created] == drawn
+
+
+# -- applied powers in watts ------------------------------------------------------
+
+def test_advance_converts_each_applied_power_like_dbm_to_watts():
+    env = make_env(m_antennas=4)
+    env.start([1, 2, 3])
+    floor, cap = env.power_floor_dbm, env.scenario.max_bs_power_dbm
+    fresh = np.random.default_rng(5).uniform(floor, cap, (3, 3, 2))
+    # the floor and the cap, fresh values, the same values again, clamped requests
+    for requested in (np.full((3, 2), floor), np.full((3, 2), cap), fresh[0], fresh[1], fresh[0],
+                      np.array([[cap + 9.0, floor - 9.0]] * 3), fresh[2], fresh[1]):
+        out = env.advance(np.concatenate([requested, np.zeros((3, 2))], axis=1))
+        want = [chan.dbm_to_watts(p) for p in out.info["powers_dbm"].flat]
+        assert out.info["powers_w"].shape == (3, 2)
+        assert out.info["powers_w"].ravel().tobytes() == np.array(want).tobytes()
+
+
+def test_the_watt_cache_stays_bounded():
+    env = make_env(horizon=10)
+    env.start(list(range(500)))
+    rng = np.random.default_rng(6)
+    # 10^4 distinct powers, 10^3 a frame
+    for _ in range(10):
+        powers = rng.uniform(env.power_floor_dbm, env.scenario.max_bs_power_dbm, (500, 2))
+        out = env.advance(np.concatenate([powers, np.zeros((500, 2))], axis=1))
+        assert len(env._watts) <= WATTS_CACHED
+        assert all(w == chan.dbm_to_watts(p) for w, p in zip(out.info["powers_w"].flat, powers.flat))
+    assert all(w == chan.dbm_to_watts(p) for p, w in env._watts.items())
