@@ -11,9 +11,9 @@ from ..errors import ConfigurationError, ContractViolation, reject_nonfinite
 from ..metrics import sum_rate
 
 # Bytes that a lockstep block may hold in its episodes' steering tensors,
-# channel traces (the draws for the whole horizon and one chunk of derived
-# frames) and frame logs: 15 episodes at M=64 (15 paths, horizon 50), a
-# whole 50-episode set at M <= 4 and horizon 20.
+# channel traces (the normals drawn for the whole horizon and the frames
+# derived from them) and frame logs: 12 episodes at M=64 (15 paths,
+# horizon 50), 45 at M=1 and horizon 20.
 BLOCK_BYTES = 1 << 21
 
 
@@ -207,12 +207,17 @@ _FRAME_FIELDS = {"states": ((8,), float), "actions": ((4,), float), "rewards": (
 
 
 def block_size(env) -> int:
-    """Episodes per lockstep block: as many as BLOCK_BYTES of their arrays allow."""
-    links, t, c = 4 * env.scenario.n_paths, env.horizon, env.chunk_frames   # (BS, UE, path)s
-    # complex: steering, drawn normals, a chunk's normals and gains; float: turns and the rest
-    trace = 16 * links * (env.m_antennas + t + 1 + 2 * c) + 8 * (2 * t + links + 10 * c)
+    """Episodes per lockstep block: as many as BLOCK_BYTES of their arrays allow.
+
+    An episode's arrays are its steering tensor, the normals that ``start``
+    fades (dropped once it returns), the path gains, amplitudes and UE frames
+    held for the whole horizon, and its frame logs.
+    """
+    links, frames = 4 * env.scenario.n_paths, env.horizon + 1     # (BS, UE, path)s
+    # complex: steering, normals, gains; float per frame: 4 amplitudes, 4 coordinates, 2 headings
+    trace = 16 * links * (env.m_antennas + 2 * frames) + 8 * 10 * frames
     frame = sum(8 * int(np.prod(shape)) for shape, _ in _FRAME_FIELDS.values())
-    return max(1, BLOCK_BYTES // (trace + (t + 1) * frame))
+    return max(1, BLOCK_BYTES // (trace + frames * frame))
 
 
 class _Frames:

@@ -130,43 +130,42 @@ class DownlinkEnv:
     # -- episode API ---------------------------------------------------------
 
     @property
-    def chunk_frames(self) -> int:
-        """Frames derived at a time after frame 0: ceil(sqrt(horizon)) bounds the unreached ones."""
-        return math.isqrt(self.horizon - 1) + 1
-
-    @property
     def topology(self) -> chan.Topology:
         """The current frame's geometry."""
-        k, frames = self._t - self._t0, self._frames
-        return frames.moved(frames.ue_positions[k], frames.ue_headings[k])
+        frames = self._frames
+        return frames.moved(frames.ue_positions[self._t], frames.ue_headings[self._t])
 
     def start(self, seeds, topology_seeds=None) -> np.ndarray:
         """Start one episode per seed as a lockstep block; returns the (B, 8) states.
 
         Episode b draws what ``reset(seeds[b], topology_seeds[b])`` would, in
         the same order, from its own streams, all of it for the whole horizon
-        here; ``advance`` derives the frames a chunk at a time and draws nothing.
+        here.  The block is then walked and faded from frame 0 to the horizon
+        in one go, and the drawn normals are dropped; ``advance`` only indexes
+        the frames and draws nothing.
         """
         b = len(seeds)
         if topology_seeds is not None and len(topology_seeds) != b:
             raise ContractViolation("topology_seeds must list one entry per seed")
-        self._normals = None    # the last block's draws go before this block's come
-        self._normals = np.empty((2, self.horizon + 1, b, 2, 2, self.scenario.n_paths))
+        self._frames = self.channel_state = None    # the last block's trace goes first
+        normals = np.empty((2, self.horizon + 1, b, 2, 2, self.scenario.n_paths))
         drops, paths, turns = zip(*map(self._streams, seeds, topology_seeds or [None] * b,
-                                       self._normals.swapaxes(0, 2)))
+                                       normals.swapaxes(0, 2)))
         # np.array of equal-shape arrays stacks them, without np.stack's overhead
-        self._frames = drops[0].moved(np.array([d.ue_positions for d in drops])[None],
-                                      np.array([d.ue_headings for d in drops])[None])
-        self._turns, self._rows = np.array(turns).swapaxes(0, 1), np.arange(b)   # (T, B, U)
+        drop = drops[0].moved(np.array([d.ue_positions for d in drops]),
+                              np.array([d.ue_headings for d in drops]))
+        walk = chan.step_mobility(drop, self.scenario, np.array(turns).swapaxes(0, 1))
+        self._frames = drop.moved(np.concatenate([drop.ue_positions[None], walk.ue_positions]),
+                                  np.concatenate([drop.ue_headings[None], walk.ue_headings]))
         angles, los = map(np.array, zip(*paths))
         self.channel_state = chan.draw_channels(
             self._frames, self.scenario, self.m_antennas,
             chan.ChannelState(None, path_angles=angles, los=los),
-            self.codebook.spacing_in_wavelengths, self._normals[:, :1])
+            self.codebook.spacing_in_wavelengths, normals)
         # start both BSs 3 dB below the power cap, beams at index 0
         self._powers_dbm = np.full((b, 2), self.scenario.max_bs_power_dbm - 3.0)
         self._beams = np.zeros((b, 2), dtype=int)
-        self._t, self._t0, self._done = 0, 0, True   # step() plays only what reset() opened
+        self._t, self._done = 0, True   # step() plays only what reset() opened
         return self._observe()
 
     def keep(self, rows) -> None:
@@ -177,8 +176,7 @@ class DownlinkEnv:
             state, path_angles=state.path_angles[rows], los=state.los[rows],
             steering=state.steering[rows], path_gains=state.path_gains[:, rows],
             amplitude=state.amplitude[:, rows])
-        self._rows, self._powers_dbm, self._beams = (
-            self._rows[rows], self._powers_dbm[rows], self._beams[rows])
+        self._powers_dbm, self._beams = self._powers_dbm[rows], self._beams[rows]
 
     def reset(self, seed: int, topology_seed: int | None = None) -> np.ndarray:
         """Start a fresh episode: new geometry, fading state and controls.
@@ -204,20 +202,6 @@ class DownlinkEnv:
                 np.random.default_rng(mob_ss).uniform(-chan.MAX_TURN_RAD, chan.MAX_TURN_RAD,
                                                       (self.horizon, 2)))
 
-    def _derive(self) -> None:
-        """Walk and fade the block's next chunk of frames, from frame ``self._t`` on."""
-        t0, frames, state = self._t, self._frames, self.channel_state
-        if t0 > self.horizon:
-            raise UsageError("the block is past its horizon; call start() first")
-        t1 = min(t0 + self.chunk_frames, self.horizon + 1)
-        self._frames = chan.step_mobility(
-            frames.moved(frames.ue_positions[-1], frames.ue_headings[-1]),
-            self.scenario, self._turns[t0 - 1:t1 - 1, self._rows])
-        state.path_gains = state.path_gains[-1]     # the fade goes on from the last frame
-        chan.draw_channels(self._frames, self.scenario, self.m_antennas, state,
-                           normals=self._normals[:, t0:t1, self._rows])
-        self._t0 = t0
-
     def apply_action(self, action) -> tuple[np.ndarray, np.ndarray]:
         """Clamp actions (..., 4) onto applied powers (dBm) and beam indices."""
         a = np.asarray(action, dtype=float)
@@ -234,10 +218,10 @@ class DownlinkEnv:
 
         Every outcome field and ``info`` entry has the episode axis first.
         """
+        if self._t >= self.horizon:
+            raise UsageError("the block is past its horizon; call start() first")
         self._powers_dbm, self._beams = self.apply_action(actions)
         self._t += 1
-        if self._t - self._t0 == len(self._frames.ue_positions):
-            self._derive()
 
         # chan.dbm_to_watts per entry (numpy's vectorised power rounds some inputs
         # differently), through a per-value cache that empties once it overfills
@@ -246,7 +230,7 @@ class DownlinkEnv:
                             ).reshape(self._powers_dbm.shape)
         if len(self._watts) > WATTS_CACHED:
             self._watts.clear()
-        sinr_lin = chan.compute_sinr(chan.channel_vectors(self.channel_state, self._t - self._t0),
+        sinr_lin = chan.compute_sinr(chan.channel_vectors(self.channel_state, self._t),
                                      self._frames, self.codebook.vectors[self._beams],
                                      powers_w, self.scenario)
         raw_db = np.full(sinr_lin.shape, -np.inf)
@@ -280,6 +264,6 @@ class DownlinkEnv:
         return out
 
     def _observe(self) -> np.ndarray:
-        ue = self._frames.ue_positions[self._t - self._t0]
+        ue = self._frames.ue_positions[self._t]
         return np.concatenate([ue.reshape(ue.shape[:-2] + (4,)), self._powers_dbm, self._beams],
                               axis=-1)

@@ -154,6 +154,9 @@ def _read_config_lines(path) -> dict:
             key = key.strip()
             if key not in CONFIG_SCHEMA:
                 raise ConfigurationError(f"{path}: line {lineno}: unknown key {key!r}")
+            if key in values:
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: key {key!r} is already set on {values[key][1]}")
             values[key] = (text.strip(), f"line {lineno}")
     return values
 
@@ -400,7 +403,7 @@ def main(argv=None) -> int:
 
     # every option but --config is named after the config key it sets
     cli_values = {key: str(value) for key, value in vars(args).items()
-                  if key != "config" and value not in (None, "")}
+                  if key != "config" and value is not None}
     try:
         cfg = parse_config(args.config, cli_values)
         summaries = run_plan(cfg)

@@ -287,8 +287,14 @@ def test_advance_past_the_horizon_is_refused():
     env.start([4, 5])
     for _ in range(2):
         env.advance(np.full((2, 4), 30.0))
+    powers, topology = env._powers_dbm.copy(), env.topology
     with pytest.raises(UsageError, match="horizon"):
-        env.advance(np.full((2, 4), 30.0))
+        env.advance(np.full((2, 4), 10.0))
+    # the refused frame leaves the block as it was
+    assert env._t == 2
+    assert np.array_equal(env._powers_dbm, powers)
+    assert np.array_equal(env.topology.ue_positions, topology.ue_positions)
+    assert np.array_equal(env.topology.ue_headings, topology.ue_headings)
 
 
 # -- the per-episode channel trace ----------------------------------------------
@@ -351,7 +357,7 @@ def test_trace_equals_generators_stepped_frame_by_frame(m, horizon, scenario, fi
         assert np.array_equal(chan.channel_vectors(env.channel_state, 0)[b], refs[b][0][1])
     for t in range(1, max(ends) + 1):
         out = env.advance(actions[t - 1, rows])
-        vectors = chan.channel_vectors(env.channel_state, env._t - env._t0)
+        vectors = chan.channel_vectors(env.channel_state, env._t)
         for i, b in enumerate(rows):
             positions, want_vectors, sinr, reward = refs[b][t]
             assert np.array_equal(env.topology.ue_positions[i], positions)

@@ -61,6 +61,14 @@ def test_parse_config_unknown_key(tmp_path):
         harness.parse_config(path)
 
 
+def test_parse_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("episodes=3\ntau=0.2\n\n# again\nepisodes=4\n")
+    with pytest.raises(ConfigurationError,
+                       match="line 5: key 'episodes' is already set on line 1"):
+        harness.parse_config(path)
+
+
 def test_parse_config_unparsable_value(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("episodes=three\n")
@@ -525,6 +533,17 @@ def test_cli_repeated_seeds_exit_2_and_write_nothing(tmp_path, capsys):
     assert code == 2
     assert "seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["algo", "antennas", "seeds", "scenario", "out"])
+def test_cli_empty_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys, option):
+    monkeypatch.chdir(tmp_path)     # an empty --out would write here
+    values = dict(algo="fpa", antennas="1", seeds="0", episodes="1", scenario="sub6", out="o")
+    values[option] = ""
+    code = harness.main([f"--{key}={text}" for key, text in values.items()])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_negative_seeds_exit_2_and_write_nothing(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellbeam import channel as chan
 from cellbeam import preset
 from cellbeam.agents import AgentHyperparams, FpaAgent, make_agent
 from cellbeam.agents import common
@@ -126,10 +127,32 @@ def test_a_block_fits_the_byte_budget_at_horizon_50(m):
     states = env.start(seeds)
     frames = common._Frames(env, seeds, states)
     frames.record(env.advance(FpaAgent(env).act(states, explore=False)), states[:, :4])
-    # every array the block holds: steering, drawn trace, derived chunk, frame logs
+    # every array the block holds: steering, the whole derived trace, frame logs
     held = [value for owner in (env, env.channel_state, env._frames)
             for value in vars(owner).values() if isinstance(value, np.ndarray)]
     held_bytes = sum(a.nbytes for a in held + list(frames.arrays.values()))
-    assert env.channel_state.steering.shape[0] == len(env._normals[0, 0]) == size
-    assert env.channel_state.path_gains.shape[0] == env.chunk_frames
+    assert env.channel_state.steering.shape[0] == size
+    assert env.channel_state.path_gains.shape[:2] == (env.horizon + 1, size)
+    assert env.channel_state.amplitude.shape[:2] == (env.horizon + 1, size)
+    assert env._frames.ue_positions.shape[:2] == (env.horizon + 1, size)
     assert common.BLOCK_BYTES / 2 < held_bytes <= common.BLOCK_BYTES
+
+
+def test_start_derives_the_whole_trace_and_advance_derives_nothing(monkeypatch):
+    env = _env(4, 20, -1e9)
+    calls = []
+    for name in ("step_mobility", "draw_channels"):
+        real = getattr(chan, name)
+        monkeypatch.setattr(chan, name, lambda *a, real=real, name=name, **k:
+                            calls.append(name) or real(*a, **k))
+    states = env.start(list(range(6)))
+    assert sorted(calls) == ["draw_channels", "step_mobility"]
+    calls.clear()
+    agent = FpaAgent(env)
+    for t in range(env.horizon):
+        out = env.advance(agent.act(states, explore=False))
+        states = out.next_state
+        if t % 7 == 6:      # a block that loses episodes goes on without deriving
+            env.keep(np.arange(len(states) - 1))
+            states = states[:-1]
+    assert calls == [] and out.truncated.all()
