@@ -410,9 +410,9 @@ class ActionScaler:
 class ReplayLearner(BaseAgent):
     """A network learner trained from uniform replay minibatches.
 
-    ``observe`` stores each transition through ``_store``, which runs one
-    ``train_step``; the subclass's ``train_step`` takes its batch from
-    ``_minibatch`` and returns its loss, or None while the buffer is short.
+    ``observe`` pushes each transition and runs one ``train_step``; the
+    subclass's ``train_step`` takes its batch from ``_minibatch`` and
+    returns its loss, or None while the buffer is short.
     """
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int, batch_size: int | None = None):
@@ -422,7 +422,7 @@ class ReplayLearner(BaseAgent):
         self.normalize = ActionScaler(env.state_low, env.state_high).to_normalized
         self.buffer = ReplayBuffer(hyper.replay_capacity, agent_stream(seed, 2))
 
-    def _store(self, state, action, reward, next_state, terminated):
+    def observe(self, state, action, reward, next_state, terminated, truncated=False):
         """Push one transition and run one train_step; returns its loss or None."""
         self.buffer.push(Transition(state, action, reward, next_state, terminated))
         return self.train_step()

@@ -49,7 +49,7 @@ class DdpgAgent(ReplayLearner):
         self.scaler = ActionScaler(env.action_low, env.action_high)
         init_rng = agent_stream(seed, 0)
         self._noise_rng = agent_stream(seed, 1)
-        self._sigma = (None,)   # (trained episodes, noise_sigma, any entry > 0)
+        self._set_noise()
 
         n_actions = len(env.action_low)
         hidden = [hyper.width] * hyper.depth
@@ -64,33 +64,31 @@ class DdpgAgent(ReplayLearner):
         self.critic_opt = AdamOptimizer(self.critic, lr=hyper.lr,
                                         weight_decay=hyper.critic_weight_decay)
 
-    @property
-    def noise_sigma(self) -> np.ndarray:
-        """Per-dimension exploration std, decaying linearly to a floor; set once per episode.
+    def _set_noise(self) -> None:
+        """Set the per-dimension exploration std for the coming episode.
 
-        A non-zero floor keeps replay coverage stationary over training,
+        The std decays linearly with trained episodes to a floor; it is
+        None when every entry is zero, so that ``act`` draws nothing.  A
+        non-zero floor keeps replay coverage stationary over training,
         which stops the critic from soaking up time-trend confounds.
         """
-        if self._sigma[0] != self._episode:
-            frac = self.hyper.decay_progress(self._episode)
-            scale = 1.0 + (self.hyper.noise_end_frac - 1.0) * frac
-            sigma = self.hyper.noise_scale * scale * (self.scaler.high - self.scaler.low)
-            self._sigma = (self._episode, sigma, bool(np.any(sigma > 0.0)))
-        return self._sigma[1]
+        frac = self.hyper.decay_progress(self._episode)
+        scale = 1.0 + (self.hyper.noise_end_frac - 1.0) * frac
+        sigma = self.hyper.noise_scale * scale * (self.scaler.high - self.scaler.low)
+        self._noise_std = sigma if np.any(sigma > 0.0) else None
 
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """The actor's action, plus Gaussian noise when exploring, clamped to bounds."""
         # a (B, 1, 8) stack gives each row of a block its one-state bits
         normalized = self.actor.forward(self.normalize(state)[..., None, :])[..., 0, :]
         action = self.scaler.to_env(normalized)
-        if explore:
-            sigma = self.noise_sigma
-            if self._sigma[2]:
-                action = action + self._noise_rng.normal(0.0, 1.0, action.shape) * sigma
+        if explore and self._noise_std is not None:
+            action = action + self._noise_rng.normal(0.0, 1.0, action.shape) * self._noise_std
         return np.minimum(np.maximum(action, self.scaler.low), self.scaler.high)
 
-    def observe(self, state, action, reward, next_state, terminated, truncated=False):
-        return self._store(state, action, reward, next_state, terminated)
+    def end_episode(self, trained: bool) -> None:
+        super().end_episode(trained)
+        self._set_noise()
 
     def train_step(self):
         """One minibatch update of critic, actor and both target networks.

@@ -45,7 +45,7 @@ class DqnAgent(DiscreteAgent, ReplayLearner):
         return self.adv_net.forward(self.normalize(states)[..., None, :])[..., 0, :]
 
     def observe(self, state, action, reward, next_state, terminated, truncated=False):
-        return self._store(state, self._last_joint, reward, next_state, terminated)
+        return super().observe(state, self._last_joint, reward, next_state, terminated)
 
     def train_step(self):
         batch = self._minibatch()

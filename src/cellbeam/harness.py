@@ -83,6 +83,8 @@ class ExperimentPlan:
                 raise ConfigurationError(f"{key} must be >= 1")
         if self.scenario not in SCENARIO_PRESETS:
             raise ConfigurationError(f"unknown scenario preset {self.scenario!r}")
+        if not self.output_dir:
+            raise ConfigurationError("out must name an output directory")
         if self.out_format not in ("csv", "json"):
             raise ConfigurationError("format must be 'csv' or 'json'")
 
@@ -362,7 +364,8 @@ def run_plan(cfg: RunConfig):
 
     summaries, sample_sets = [], []
     fpa_evals = {}      # (M, seed) -> evaluation logs of FPA, for this plan only
-    max_cap = max(cfg.env.gamma0_db + 10.0 * math.log2(m) for m in cfg.plan.antenna_counts)
+    max_cap = max(SinrPolicy(gamma0_db=cfg.env.gamma0_db, m_antennas=m).gamma_max_db
+                  for m in cfg.plan.antenna_counts)
     grid = np.arange(-1.0, math.ceil(max_cap) + 1.5, 0.5)
 
     for algo in cfg.plan.algorithms:

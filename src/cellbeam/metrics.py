@@ -60,7 +60,7 @@ class RunSummary:
 
 def ccdf(samples, threshold_grid) -> list[tuple[float, float]]:
     """Empirical P(sample > x) for each threshold x, with strict comparison."""
-    values = np.asarray(getattr(samples, "samples", samples), dtype=float)
+    values = np.asarray(samples, dtype=float)
     if values.size == 0:
         raise ContractViolation("CCDF needs at least one sample")
     if not np.all(np.isfinite(values)):
@@ -139,7 +139,7 @@ def _summary_rows(summaries):
 def _ccdf_rows(sample_sets, threshold_grid):
     """Long-format CCDF rows for every sample set over one threshold grid."""
     return ((sset.algorithm, sset.m_antennas, sset.seed, threshold, prob)
-            for sset in sample_sets for threshold, prob in ccdf(sset, threshold_grid))
+            for sset in sample_sets for threshold, prob in ccdf(sset.samples, threshold_grid))
 
 
 def _pool_sample_sets(sample_sets) -> list:

@@ -1,3 +1,4 @@
+import copy
 import math
 from types import SimpleNamespace
 
@@ -382,6 +383,24 @@ def test_ddpg_act_without_noise_draws_nothing():
     assert np.array_equal(action, agent.act(s, explore=False))
 
 
+def test_ddpg_noise_std_follows_the_trained_episode_count():
+    env = make_env(m=4)
+    hyper = small_hyper(noise_scale=0.3, noise_end_frac=0.2, total_episodes=4)
+    agent = DdpgAgent(env, hyper, seed=0)
+    s = env.reset(1)
+    low, high = env.action_low, env.action_high
+    for k in range(6):
+        scale = 1.0 + (hyper.noise_end_frac - 1.0) * hyper.decay_progress(k)
+        sigma = hyper.noise_scale * scale * (high - low)
+        for _ in range(2):      # an untrained episode leaves the std where it was
+            greedy = agent.act(s, explore=False)
+            draw = copy.deepcopy(agent._noise_rng).normal(0.0, 1.0, 4)
+            expected = np.minimum(np.maximum(greedy + draw * sigma, low), high)
+            assert np.array_equal(agent.act(s, explore=True), expected)
+            agent.end_episode(False)
+        agent.end_episode(True)
+
+
 def test_ddpg_train_step_requires_buffer():
     env = make_env()
     agent = DdpgAgent(env, small_hyper(), seed=2)
@@ -563,13 +582,17 @@ def test_hyperparams_validation():
 
 def test_agents_save_checkpoints(tmp_path):
     env = make_env()
-    for name in ("qlearning", "dqn", "ddpg", "hddpg"):
+    expected = {"qlearning": ["qtable.npz"], "dqn": ["dqn_adv_net.npz", "dqn_value_net.npz"],
+                "ddpg": ["ddpg_actor.npz", "ddpg_critic.npz"],
+                "hddpg": ["hddpg_controller_actor.npz", "hddpg_controller_critic.npz",
+                          "hddpg_meta_actor.npz", "hddpg_meta_critic.npz"]}
+    for name, files in expected.items():
         agent = make_agent(name, env, small_hyper(), seed=4)
         agent.run_episode(env, seed=0, train=True)
         target = tmp_path / name
         target.mkdir()
         agent.save(str(target))
-        assert list(target.glob("*.npz")), f"{name} wrote no checkpoint"
+        assert sorted(path.name for path in target.glob("*.npz")) == files
 
 
 def test_mmwave_preset_end_to_end():

@@ -469,7 +469,7 @@ _KEY_VALUES = {
                          min_size=1, max_size=6, unique=True).map(tuple),
     "seeds": st.lists(st.integers(0, 2**32), min_size=1, max_size=4, unique=True).map(tuple),
     "scenario": st.sampled_from(sorted(SCENARIO_PRESETS)),
-    "out": st.text(max_size=12),
+    "out": st.text(min_size=1, max_size=12),
     "format": st.sampled_from(("csv", "json")),
     "power_step_db": _FLOAT_TUPLES,
     "q_power_step_db": _FLOAT_TUPLES,
@@ -542,8 +542,16 @@ def test_cli_empty_value_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
     values[option] = ""
     code = harness.main([f"--{key}={text}" for key, text in values.items()])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and option in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_out_in_a_file_is_a_configuration_error(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("algo=fpa\nout=\n")
+    with pytest.raises(ConfigurationError, match="out"):
+        harness.parse_config(path)
 
 
 def test_negative_seeds_exit_2_and_write_nothing(tmp_path, capsys):

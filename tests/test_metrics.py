@@ -44,9 +44,7 @@ def test_ccdf_equals_a_per_threshold_count(samples, grid):
     reference = [(float(x), float(np.mean(values > x))) for x in np.array(grid)]
     assert metrics.ccdf(values, grid) == reference
 
-def test_ccdf_accepts_sample_set_and_rejects_empty():
-    sset = metrics.SinrSampleSet(samples=np.array([1.0]), algorithm="fpa")
-    assert metrics.ccdf(sset, [0.0]) == [(0.0, 1.0)]
+def test_ccdf_rejects_empty():
     with pytest.raises(ContractViolation):
         metrics.ccdf(np.array([]), [0.0])
 
