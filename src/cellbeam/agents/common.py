@@ -10,12 +10,6 @@ from ..beamcode import step_beam
 from ..errors import ConfigurationError, ContractViolation, reject_nonfinite
 from ..metrics import sum_rate
 
-# Bytes that a lockstep block may hold in its episodes' steering tensors,
-# channel traces (the normals drawn for the whole horizon and the frames
-# derived from them) and frame logs: 12 episodes at M=64 (15 paths,
-# horizon 50), 45 at M=1 and horizon 20.
-BLOCK_BYTES = 1 << 21
-
 
 @dataclass
 class Transition:
@@ -31,7 +25,8 @@ class ReplayBuffer:
 
     Each Transition field is stored as one float64 array, shaped by the
     first push; later pushes must match those shapes.  The arrays start
-    at MIN_ROWS rows and double whenever they fill, up to `capacity`.
+    at MIN_ROWS rows and double whenever they fill, up to `capacity`, so
+    a buffer that sees few transitions costs few rows of memory.
     """
 
     MIN_ROWS = 32
@@ -105,7 +100,6 @@ class AgentHyperparams:
     power_step_db: tuple[float, ...] = (1.0, 3.0)
     pc_limit_db: float = 40.0
     ic_limit_db: float = 40.0
-    bf_limit_multiplier: float = 1.0
     total_episodes: int = 300
     train_geometry_cycle: int = 0     # >0 cycles training over that many UE drops
     position_bins: int = 8
@@ -123,7 +117,8 @@ class AgentHyperparams:
                           ("controller_batch_size", 1), ("meta_period", 1), ("replay_capacity", 1),
                           ("position_bins", 1), ("power_levels", 1), ("noise_scale", 0),
                           ("train_geometry_cycle", 0), ("q_lr", 0), ("actor_weight_decay", 0),
-                          ("critic_weight_decay", 0), ("pc_limit_db", 0), ("ic_limit_db", 0)):
+                          ("critic_weight_decay", 0), ("pc_limit_db", 0), ("ic_limit_db", 0),
+                          ("noise_end_frac", 0), ("goal_penalty_weight", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}")
         for name in ("power_step_db", "q_power_step_db"):
@@ -204,20 +199,6 @@ _FRAME_FIELDS = {"states": ((8,), float), "actions": ((4,), float), "rewards": (
                  "losses": ((), float), "eff_sinr_db": ((2,), float),
                  "powers_dbm": ((2,), float), "norm_power": ((), float),
                  "beam_indices": ((2,), int)}
-
-
-def block_size(env) -> int:
-    """Episodes per lockstep block: as many as BLOCK_BYTES of their arrays allow.
-
-    An episode's arrays are its steering tensor, the normals that ``start``
-    fades (dropped once it returns), the path gains, amplitudes and UE frames
-    held for the whole horizon, and its frame logs.
-    """
-    links, frames = 4 * env.scenario.n_paths, env.horizon + 1     # (BS, UE, path)s
-    # complex: steering, normals, gains; float per frame: 4 amplitudes, 4 coordinates, 2 headings
-    trace = 16 * links * (env.m_antennas + 2 * frames) + 8 * 10 * frames
-    frame = sum(8 * int(np.prod(shape)) for shape, _ in _FRAME_FIELDS.values())
-    return max(1, BLOCK_BYTES // (trace + frames * frame))
 
 
 class _Frames:
@@ -321,7 +302,7 @@ class BaseAgent:
         """
         seeds = list(seeds)
         drops = [None] * len(seeds) if topology_seeds is None else list(topology_seeds)
-        size = block_size(env)
+        size = env.block_episodes
         logs = []
         for i in range(0, len(seeds), size):
             states = env.start(seeds[i:i + size], drops[i:i + size])

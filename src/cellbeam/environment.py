@@ -26,6 +26,9 @@ from .errors import ConfigurationError, ContractViolation, UsageError
 
 ACTION_SIZE = 4
 WATTS_CACHED = 1024     # applied powers a DownlinkEnv keeps in watts; DDPG's are continuous
+# Bytes that the trace of a lockstep block may hold: 12 episodes at M=64
+# (15 paths, horizon 50), 48 at M=1 and 45 at M=4 with horizon 20.
+BLOCK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,7 @@ class DownlinkEnv:
 
     def __init__(self, scenario: chan.Scenario, m_antennas: int = 1, horizon: int = 50,
                  policy: SinrPolicy | None = None, power_floor_dbm: float = 0.0,
-                 power_span_db=40.0, bf_limit_multiplier: float = 1.0):
+                 power_span_db=40.0):
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         self.scenario, self.m_antennas, self.horizon = scenario, int(m_antennas), int(horizon)
@@ -96,11 +99,8 @@ class DownlinkEnv:
         self.power_floor_dbm = float(power_floor_dbm)
         # one requested-power span per BS role (power control / interference coordination)
         self.power_span_db = np.broadcast_to(np.asarray(power_span_db, dtype=float), (2,)).copy()
-        self.bf_limit = bf_limit_multiplier * self.m_antennas - 1.0
         if self.power_floor_dbm > scenario.max_bs_power_dbm:
             raise ConfigurationError("power_floor_dbm exceeds the maximum transmit power")
-        if self.bf_limit < 0.0:
-            raise ConfigurationError(f"bf_limit_multiplier must be >= 1/M = 1/{self.m_antennas}")
         self._watts = {}     # dBm -> chan.dbm_to_watts(dBm), WATTS_CACHED at most after a frame
         self._frames = self.channel_state = None
         self._done = True
@@ -113,8 +113,8 @@ class DownlinkEnv:
 
     @property
     def action_high(self) -> np.ndarray:
-        hi = self.power_floor_dbm + self.power_span_db
-        return np.array([hi[0], hi[1], self.bf_limit, self.bf_limit])
+        hi, nmax = self.power_floor_dbm + self.power_span_db, self.codebook.size - 1.0
+        return np.array([hi[0], hi[1], nmax, nmax])
 
     @property
     def state_low(self) -> np.ndarray:
@@ -128,6 +128,19 @@ class DownlinkEnv:
         return np.array([r, r, isd + r, r, cap, cap, nmax, nmax])
 
     # -- episode API ---------------------------------------------------------
+
+    @property
+    def block_episodes(self) -> int:
+        """Episodes per lockstep block: as many as BLOCK_BYTES of their traces allow.
+
+        An episode's trace is what ``start`` holds for it: its steering
+        tensor, the normals it fades (dropped once it returns), and the path
+        gains, amplitudes and UE frames of the whole horizon.
+        """
+        links, frames = 4 * self.scenario.n_paths, self.horizon + 1     # (BS, UE, path)s
+        # complex: steering, normals, gains; float per frame: 4 amplitudes, 4 coords, 2 headings
+        trace = 16 * links * (self.m_antennas + 2 * frames) + 8 * 10 * frames
+        return max(1, BLOCK_BYTES // trace)
 
     @property
     def topology(self) -> chan.Topology:
@@ -145,6 +158,8 @@ class DownlinkEnv:
         the frames and draws nothing.
         """
         b = len(seeds)
+        if not b:
+            raise ContractViolation("seeds must list at least one episode")
         if topology_seeds is not None and len(topology_seeds) != b:
             raise ContractViolation("topology_seeds must list one entry per seed")
         self._frames = self.channel_state = None    # the last block's trace goes first

@@ -97,10 +97,9 @@ class RunConfig:
     hyper: AgentHyperparams = field(default_factory=AgentHyperparams)
 
     def validate(self) -> None:
-        """Check the plan and that every antenna count gives non-empty action ranges."""
+        """Check the plan and its action ranges, which do not depend on M."""
         self.plan.validate()
-        for m in self.plan.antenna_counts:
-            build_env(self, m)
+        build_env(self, self.plan.antenna_counts[0])
 
 
 # -- config file handling ----------------------------------------------------
@@ -295,8 +294,7 @@ def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
                         gamma0_db=cfg.env.gamma0_db, m_antennas=m_antennas)
     return DownlinkEnv(cfg.scenario, m_antennas=m_antennas, horizon=cfg.env.horizon,
                        policy=policy, power_floor_dbm=cfg.env.power_floor_dbm,
-                       power_span_db=(cfg.hyper.pc_limit_db, cfg.hyper.ic_limit_db),
-                       bf_limit_multiplier=cfg.hyper.bf_limit_multiplier)
+                       power_span_db=(cfg.hyper.pc_limit_db, cfg.hyper.ic_limit_db))
 
 
 def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=None):

@@ -28,15 +28,15 @@ def _layer_views(widths, flat: np.ndarray):
         weights.append(flat[start:stop].reshape(fan_in, fan_out))
         biases.append(flat[stop:stop + fan_out])
         start = stop + fan_out
-    return weights, biases
+    return tuple(weights), tuple(biases)
 
 
 @dataclass
 class GradientSet:
     """Gradients in an Mlp's layout (weights, biases view flat) plus the input gradient."""
 
-    weights: list
-    biases: list
+    weights: tuple
+    biases: tuple
     wrt_input: np.ndarray
     flat: np.ndarray
     widths: tuple
@@ -52,8 +52,8 @@ class Mlp:
     layer's initial weights, which keeps early policy/value outputs near
     zero and avoids saturating the squashed heads before training speaks.
 
-    All parameters live in the one float64 vector params; weights[i] and
-    biases[i] are views into it, so writing through either changes both.
+    All parameters live in the one float64 vector params; the tuples
+    weights and biases hold views into it, so writing through one changes it.
     """
 
     def __init__(self, widths, output_low=None, output_high=None, rng=None,

@@ -566,6 +566,7 @@ def test_hyperparams_validation():
                      ("noise_scale", -0.1), ("train_geometry_cycle", -3),
                      ("q_lr", -0.1), ("replay_capacity", 0), ("depth", -1),
                      ("actor_weight_decay", -1e-3), ("critic_weight_decay", -1e-3),
+                     ("noise_end_frac", -1.0), ("goal_penalty_weight", -0.5),
                      ("power_step_db", ()), ("q_power_step_db", ())):
         with pytest.raises(ConfigurationError, match=f"^{key} "):
             AgentHyperparams(**{key: bad})

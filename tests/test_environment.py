@@ -170,6 +170,13 @@ def test_action_bounds_expose_table_limits():
     assert np.array_equal(env.action_high, [40.0, 40.0, 7.0, 7.0])
 
 
+@pytest.mark.parametrize("m", VALID_ANTENNA_COUNTS)
+def test_beam_range_is_the_codebook(m):
+    env = make_env(m_antennas=m)
+    assert env.action_high[2:].tolist() == [env.codebook.size - 1] * 2
+    assert np.array_equal(env.action_high[2:], env.state_high[6:])
+
+
 def test_full_episode_trajectory_is_deterministic():
     def roll(seed):
         env = make_env(horizon=20)
@@ -280,6 +287,12 @@ def test_start_refuses_topology_seeds_of_another_length():
         env.start([1, 2, 3], [7, 8])
     with pytest.raises(ContractViolation, match="one entry per seed"):
         FpaAgent(env).run_episodes(env, [1, 2, 3], [7, 8])
+
+
+def test_start_refuses_an_empty_seed_list():
+    env = make_env()
+    with pytest.raises(ContractViolation, match="seeds must list at least one episode"):
+        env.start([])
 
 
 def test_advance_past_the_horizon_is_refused():

@@ -30,7 +30,6 @@ def test_parse_config_empty_file_gives_table_defaults(tmp_path):
     assert h.batch_size == 128
     assert (h.meta_batch_size, h.controller_batch_size) == (64, 64)
     assert (h.pc_limit_db, h.ic_limit_db) == (40.0, 40.0)
-    assert h.bf_limit_multiplier == 1.0
     assert cfg.plan.scenario == "sub6"
     assert cfg.env.gamma_cutoff_db == 4.0 and cfg.env.gamma0_db == 5.0
 
@@ -437,7 +436,6 @@ REFERENCE_SCHEMA = {
     "power_step_db": ("hyper", "power_step_db"),
     "pc_limit_db": ("hyper", "pc_limit_db"),
     "ic_limit_db": ("hyper", "ic_limit_db"),
-    "bf_limit_multiplier": ("hyper", "bf_limit_multiplier"),
     "train_geometry_cycle": ("hyper", "train_geometry_cycle"),
     "position_bins": ("hyper", "position_bins"),
     "power_levels": ("hyper", "power_levels"),
@@ -473,8 +471,7 @@ _KEY_VALUES = {
     "format": st.sampled_from(("csv", "json")),
     "power_step_db": _FLOAT_TUPLES,
     "q_power_step_db": _FLOAT_TUPLES,
-    # the action ranges need multiplier * M >= 1 and a cap (30 dBm at 1 W) above the floor
-    "bf_limit_multiplier": st.floats(1.0, 64.0),
+    # the power ranges need a cap (30 dBm at 1 W) above the floor
     "max_bs_power_w": st.floats(1.0, 100.0),
 }
 # every other key by its parser; floats in (0, 1) satisfy every other range check
@@ -568,6 +565,7 @@ def test_negative_seeds_exit_2_and_write_nothing(tmp_path, capsys):
 def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
     for key, bad in (("q_lr", "-0.1"), ("replay_capacity", "0"), ("depth", "-1"),
                      ("actor_weight_decay", "-1"), ("critic_weight_decay", "-0.5"),
+                     ("noise_end_frac", "-1"), ("goal_penalty_weight", "-0.1"),
                      ("power_step_db", ""), ("q_power_step_db", ""), ("lr", "nan"),
                      ("q_lr", "nan"), ("noise_scale", "nan"), ("reward_scale", "nan"),
                      ("gamma_cutoff_db", "nan"), ("power_floor_dbm", "nan"),
@@ -577,9 +575,7 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
                      ("noise_power_dbm", "inf"), ("noise_power_dbm", "-inf"),
                      ("q_power_step_db", "3,-inf"),
                      # action ranges whose top lies below the bottom at M=1
-                     ("pc_limit_db", "-5"), ("ic_limit_db", "-1"),
-                     ("bf_limit_multiplier", "-1"), ("bf_limit_multiplier", "0.5"),
-                     ("power_floor_dbm", "50"),
+                     ("pc_limit_db", "-5"), ("ic_limit_db", "-1"), ("power_floor_dbm", "50"),
                      # outside [0, 100] dB: an unbounded CCDF grid, or an inverted SINR band
                      ("gamma0_db", "5000"), ("gamma0_db", "1e9"), ("gamma0_db", "-10")):
         path = tmp_path / f"{key}.cfg"
@@ -592,8 +588,7 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, bad", [("pc_limit_db", -5.0), ("bf_limit_multiplier", -1.0),
-                                      ("bf_limit_multiplier", 0.5), ("power_floor_dbm", 50.0)])
+@pytest.mark.parametrize("key, bad", [("pc_limit_db", -5.0), ("power_floor_dbm", 50.0)])
 def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key, bad):
     section, attr, _ = harness.CONFIG_SCHEMA[key]
     cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "ddpg"), antenna_counts=(1, 4))
@@ -603,13 +598,19 @@ def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key
     assert not os.path.exists(cfg.plan.output_dir)
 
 
-def test_beam_bound_multiplier_below_one_is_accepted_with_enough_antennas(tmp_path):
+def test_beam_range_multiplier_is_no_longer_a_key(tmp_path, monkeypatch, capsys):
     path = tmp_path / "cfg"
-    path.write_text("bf_limit_multiplier=0.5\n")
-    cfg = harness.parse_config(path, {"antennas": "4,8"})
-    assert harness.build_env(cfg, 4).action_high[2:].tolist() == [1.0, 1.0]
-    with pytest.raises(ConfigurationError, match="bf_limit_multiplier"):
-        harness.parse_config(path, {"antennas": "1,4"})
+    path.write_text("bf_limit_multiplier=1\n")
+    with pytest.raises(ConfigurationError, match="unknown key 'bf_limit_multiplier'"):
+        harness.parse_config(path)
+    out = tmp_path / "o"
+    assert harness.main(["--config", str(path), "--algo", "fpa", "--antennas", "1",
+                         "--episodes", "2", "--out", str(out)]) == 2
+    assert "bf_limit_multiplier" in capsys.readouterr().err
+    assert not out.exists()
+    monkeypatch.setenv("CELLBEAM_BF_LIMIT_MULTIPLIER", "1")
+    with pytest.raises(ConfigurationError, match="CELLBEAM_BF_LIMIT_MULTIPLIER"):
+        harness.parse_config()
 
 
 def test_plan_rejects_empty_lists(tmp_path):

@@ -379,6 +379,19 @@ def test_layer_views_write_through_after_copy_and_load(tmp_path):
     assert np.array_equal(net.forward(x), nn.Mlp.load(path).forward(x))
 
 
+def test_layer_views_cannot_be_rebound():
+    net = nn.Mlp([3, 4, 2], rng=27)
+    x = np.array([0.5, -1.0, 2.0])
+    net.forward(x)
+    grads = net.backward(np.ones(2))
+    for views in (net.weights, net.biases, grads.weights, grads.biases):
+        with pytest.raises(TypeError):
+            views[0] = np.zeros_like(views[0])
+    net.weights[0][0, 0] = 7.0
+    net.biases[1][...] = -1.0
+    assert net.params[0] == 7.0 and np.array_equal(net.params[-2:], [-1.0, -1.0])
+
+
 def test_adam_rejects_foreign_gradients_and_non_finite_parameters():
     net = nn.Mlp([2, 3, 2], rng=27)
     other = nn.Mlp([2, 4, 2], rng=28)

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellbeam import channel as chan
-from cellbeam import preset
+from cellbeam import environment, preset
 from cellbeam.agents import AgentHyperparams, FpaAgent, make_agent
-from cellbeam.agents import common
 from cellbeam.environment import DownlinkEnv, SinrPolicy
 from cellbeam.harness import VALID_ANTENNA_COUNTS
 
@@ -100,9 +99,9 @@ def test_block_act_equals_stacked_one_state_acts(kind, m, trained, rows, seed):
 
 def test_set_over_the_byte_budget_splits_into_blocks(monkeypatch):
     env = _env(4, 10, 4.0)
-    per_episode = common.BLOCK_BYTES // common.block_size(env)
-    monkeypatch.setattr(common, "BLOCK_BYTES", 3 * per_episode + 1)
-    assert common.block_size(env) == 3
+    per_episode = environment.BLOCK_BYTES // env.block_episodes
+    monkeypatch.setattr(environment, "BLOCK_BYTES", 3 * per_episode + 1)
+    assert env.block_episodes == 3
     starts = []
     start = env.start
     monkeypatch.setattr(env, "start", lambda seeds, drops: starts.append(len(seeds))
@@ -119,23 +118,35 @@ def test_set_over_the_byte_budget_splits_into_blocks(monkeypatch):
         assert any(not log.aborted and log.steps == env.horizon for log in block)
 
 
+@pytest.mark.parametrize("m, horizon, size", [(64, 50, 12), (1, 20, 48), (4, 20, 45)])
+def test_block_sizes_at_the_benchmark_shapes(m, horizon, size):
+    assert _env(m, horizon, 4.0).block_episodes == size
+
+
 @pytest.mark.parametrize("m", VALID_ANTENNA_COUNTS)
 def test_a_block_fits_the_byte_budget_at_horizon_50(m):
-    env = _env(m, 50, -1e9)
-    size = common.block_size(env)
-    seeds = list(range(size))
-    states = env.start(seeds)
-    frames = common._Frames(env, seeds, states)
-    frames.record(env.advance(FpaAgent(env).act(states, explore=False)), states[:, :4])
-    # every array the block holds: steering, the whole derived trace, frame logs
+    _assert_block_fits(m, 50)
+
+
+@pytest.mark.parametrize("m", VALID_ANTENNA_COUNTS)
+def test_a_block_fits_the_byte_budget_at_horizon_20(m):
+    _assert_block_fits(m, 20)
+
+
+def _assert_block_fits(m, horizon):
+    env = _env(m, horizon, -1e9)
+    size = env.block_episodes
+    states = env.start(list(range(size)))
+    env.advance(FpaAgent(env).act(states, explore=False))
+    # every array the block holds: steering and the whole derived trace
     held = [value for owner in (env, env.channel_state, env._frames)
             for value in vars(owner).values() if isinstance(value, np.ndarray)]
-    held_bytes = sum(a.nbytes for a in held + list(frames.arrays.values()))
+    held_bytes = sum(a.nbytes for a in held)
     assert env.channel_state.steering.shape[0] == size
     assert env.channel_state.path_gains.shape[:2] == (env.horizon + 1, size)
     assert env.channel_state.amplitude.shape[:2] == (env.horizon + 1, size)
     assert env._frames.ue_positions.shape[:2] == (env.horizon + 1, size)
-    assert common.BLOCK_BYTES / 2 < held_bytes <= common.BLOCK_BYTES
+    assert environment.BLOCK_BYTES / 2 < held_bytes <= environment.BLOCK_BYTES
 
 
 def test_start_derives_the_whole_trace_and_advance_derives_nothing(monkeypatch):
