@@ -10,6 +10,8 @@ from ..beamcode import step_beam
 from ..errors import ConfigurationError, ContractViolation, reject_nonfinite
 from ..metrics import sum_rate
 
+FINAL_LAYER_SCALE = 0.05    # shrink factor for the output layer init of DQN's and DDPG's nets
+
 
 @dataclass
 class Transition:
@@ -93,19 +95,12 @@ class AgentHyperparams:
     replay_capacity: int = 10_000
     dqn_greedy_margin: float = 0.0    # value lead over the neutral action needed to act on it
     reward_scale: float = 0.1         # conditioning factor for network targets
-    final_layer_scale: float = 0.05   # shrink factor for output layer init
     actor_weight_decay: float = 0.0   # decoupled decay; keeps policy heads unsaturated
     critic_weight_decay: float = 0.0
     goal_penalty_weight: float = 1.0
-    power_step_db: tuple[float, ...] = (1.0, 3.0)
-    pc_limit_db: float = 40.0
-    ic_limit_db: float = 40.0
     total_episodes: int = 300
     train_geometry_cycle: int = 0     # >0 cycles training over that many UE drops
-    position_bins: int = 8
-    power_levels: int = 4
     q_lr: float = 0.1                 # tabular Q-learning step size
-    q_power_step_db: tuple[float, ...] = (3.0,)   # tabular agent's power deltas (+/- each)
 
     def __post_init__(self):
         reject_nonfinite(self)
@@ -115,15 +110,11 @@ class AgentHyperparams:
             raise ConfigurationError("tau must lie in [0, 1]")
         for name, low in (("width", 1), ("depth", 0), ("batch_size", 1), ("meta_batch_size", 1),
                           ("controller_batch_size", 1), ("meta_period", 1), ("replay_capacity", 1),
-                          ("position_bins", 1), ("power_levels", 1), ("noise_scale", 0),
-                          ("train_geometry_cycle", 0), ("q_lr", 0), ("actor_weight_decay", 0),
-                          ("critic_weight_decay", 0), ("pc_limit_db", 0), ("ic_limit_db", 0),
+                          ("noise_scale", 0), ("train_geometry_cycle", 0), ("q_lr", 0),
+                          ("actor_weight_decay", 0), ("critic_weight_decay", 0),
                           ("noise_end_frac", 0), ("goal_penalty_weight", 0)):
             if getattr(self, name) < low:
                 raise ConfigurationError(f"{name} must be >= {low}")
-        for name in ("power_step_db", "q_power_step_db"):
-            if not getattr(self, name):
-                raise ConfigurationError(f"{name} must list at least one step")
         if self.lr <= 0:
             raise ConfigurationError("lr must be positive")
         if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
@@ -321,19 +312,18 @@ class BaseAgent:
 class DiscreteAgent(BaseAgent):
     """Epsilon-greedy learner over the joint power-step/beam-step table.
 
-    Subclasses call ``_init_actions`` and supply ``action_values(states)``,
-    one value per table entry for each state.  The greedy choice is their
-    argmax, unless it leads action 0 by at most ``greedy_margin``: then it
-    falls back to action 0.  ``act`` explores on the given generator, one
-    state at a time, and maps the chosen entry onto an absolute env action.
+    Subclasses set ``power_steps_db``, call ``_init_actions`` and supply
+    ``action_values(states)``, one value per table entry for each state.
+    The greedy choice is their argmax, unless it leads action 0 by at most
+    ``greedy_margin``: then it is action 0.  ``act`` explores on the given
+    generator, one state at a time, and applies the chosen entry's steps.
     """
 
     greedy_margin = 0.0
 
-    def _init_actions(self, env, hyper: AgentHyperparams, power_step_db,
-                      explore_rng: np.random.Generator) -> None:
+    def _init_actions(self, env, hyper: AgentHyperparams, explore_rng: np.random.Generator):
         self.hyper = hyper
-        self.actions = np.array(discrete_action_table(power_step_db, env.codebook.size))
+        self.actions = np.array(discrete_action_table(self.power_steps_db, env.codebook.size))
         self.codebook_size = env.codebook.size
         self.power_low = env.power_floor_dbm
         self.power_high = env.scenario.max_bs_power_dbm

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..neuralnet import AdamOptimizer, GradientSet, Mlp, soft_update
-from .common import ActionScaler, AgentHyperparams, ReplayLearner, agent_stream
+from .common import FINAL_LAYER_SCALE, ActionScaler, AgentHyperparams, ReplayLearner, agent_stream
 
 
 def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
@@ -55,9 +55,9 @@ class DdpgAgent(ReplayLearner):
         hidden = [hyper.width] * hyper.depth
         self.actor = Mlp([8] + hidden + [n_actions],
                          output_low=-np.ones(n_actions), output_high=np.ones(n_actions),
-                         rng=init_rng, final_layer_scale=hyper.final_layer_scale)
+                         rng=init_rng, final_layer_scale=FINAL_LAYER_SCALE)
         self.critic = Mlp([8 + n_actions] + hidden + [1], rng=init_rng,
-                          final_layer_scale=hyper.final_layer_scale)
+                          final_layer_scale=FINAL_LAYER_SCALE)
         self.target_actor, self.target_critic = self.actor.copy(), self.critic.copy()
         self.actor_opt = AdamOptimizer(self.actor, lr=hyper.lr,
                                        weight_decay=hyper.actor_weight_decay)

@@ -13,25 +13,26 @@ from __future__ import annotations
 import numpy as np
 
 from ..neuralnet import AdamOptimizer, Mlp, soft_update
-from .common import AgentHyperparams, DiscreteAgent, ReplayLearner, agent_stream
+from .common import FINAL_LAYER_SCALE, AgentHyperparams, DiscreteAgent, ReplayLearner, agent_stream
 
 
 class DqnAgent(DiscreteAgent, ReplayLearner):
     """Epsilon-greedy value learner with replay and a soft-updated target net."""
 
     name = "dqn"
+    power_steps_db = (1.0, 3.0)     # power deltas, +/- each
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int):
         super().__init__(env, hyper, seed)
-        self._init_actions(env, hyper, hyper.power_step_db, agent_stream(seed, 1))
+        self._init_actions(env, hyper, agent_stream(seed, 1))
         self.greedy_margin = hyper.dqn_greedy_margin
 
         init_rng = agent_stream(seed, 0)
         hidden = [hyper.width] * hyper.depth
         self.value_net = Mlp([8] + hidden + [1], rng=init_rng,
-                             final_layer_scale=hyper.final_layer_scale)
+                             final_layer_scale=FINAL_LAYER_SCALE)
         self.adv_net = Mlp([8] + hidden + [len(self.actions)], rng=init_rng,
-                           final_layer_scale=hyper.final_layer_scale)
+                           final_layer_scale=FINAL_LAYER_SCALE)
         self.target_value_net, self.target_adv_net = self.value_net.copy(), self.adv_net.copy()
         self.value_opt = AdamOptimizer(self.value_net, lr=hyper.lr)
         self.adv_opt = AdamOptimizer(self.adv_net, lr=hyper.lr,

@@ -56,12 +56,13 @@ class QLearningAgent(DiscreteAgent):
     """Epsilon-greedy tabular learner with a linearly decaying epsilon."""
 
     name = "qlearning"
+    power_steps_db = (3.0,)     # power deltas, +/- each
 
     def __init__(self, env, hyper: AgentHyperparams, seed: int):
-        self._init_actions(env, hyper, hyper.q_power_step_db, agent_stream(seed, 0))
+        self._init_actions(env, hyper, agent_stream(seed, 0))
         self.table: dict = {}
         self._unvisited = np.zeros(len(self.actions))
-        self.discretizer = StateDiscretizer(env, hyper.position_bins, hyper.power_levels)
+        self.discretizer = StateDiscretizer(env)
         self._keyed = (None, None)     # (state bytes, key) of the last state keyed
 
     def _key(self, state: np.ndarray):

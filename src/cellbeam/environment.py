@@ -29,6 +29,8 @@ WATTS_CACHED = 1024     # applied powers a DownlinkEnv keeps in watts; DDPG's ar
 # Bytes that the trace of a lockstep block may hold: 12 episodes at M=64
 # (15 paths, horizon 50), 48 at M=1 and 45 at M=4 with horizon 20.
 BLOCK_BYTES = 1 << 21
+# learners' power range over the floor; at 0 dBm it stops below the cap (CHANGES.md FOUND line 21)
+POWER_SPAN_DB = 40.0
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,7 @@ class DownlinkEnv:
     """
 
     def __init__(self, scenario: chan.Scenario, m_antennas: int = 1, horizon: int = 50,
-                 policy: SinrPolicy | None = None, power_floor_dbm: float = 0.0,
-                 power_span_db=40.0):
+                 policy: SinrPolicy | None = None, power_floor_dbm: float = 0.0):
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
         self.scenario, self.m_antennas, self.horizon = scenario, int(m_antennas), int(horizon)
@@ -97,8 +98,6 @@ class DownlinkEnv:
         if self.policy.m_antennas != self.m_antennas:
             raise ConfigurationError("SinrPolicy antenna count must match the environment")
         self.power_floor_dbm = float(power_floor_dbm)
-        # one requested-power span per BS role (power control / interference coordination)
-        self.power_span_db = np.broadcast_to(np.asarray(power_span_db, dtype=float), (2,)).copy()
         if self.power_floor_dbm > scenario.max_bs_power_dbm:
             raise ConfigurationError("power_floor_dbm exceeds the maximum transmit power")
         self._watts = {}     # dBm -> chan.dbm_to_watts(dBm), WATTS_CACHED at most after a frame
@@ -113,8 +112,8 @@ class DownlinkEnv:
 
     @property
     def action_high(self) -> np.ndarray:
-        hi, nmax = self.power_floor_dbm + self.power_span_db, self.codebook.size - 1.0
-        return np.array([hi[0], hi[1], nmax, nmax])
+        hi, nmax = self.power_floor_dbm + POWER_SPAN_DB, self.codebook.size - 1.0
+        return np.array([hi, hi, nmax, nmax])
 
     @property
     def state_low(self) -> np.ndarray:

@@ -293,8 +293,7 @@ def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
     policy = SinrPolicy(gamma_cutoff_db=cfg.env.gamma_cutoff_db,
                         gamma0_db=cfg.env.gamma0_db, m_antennas=m_antennas)
     return DownlinkEnv(cfg.scenario, m_antennas=m_antennas, horizon=cfg.env.horizon,
-                       policy=policy, power_floor_dbm=cfg.env.power_floor_dbm,
-                       power_span_db=(cfg.hyper.pc_limit_db, cfg.hyper.ic_limit_db))
+                       policy=policy, power_floor_dbm=cfg.env.power_floor_dbm)
 
 
 def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=None):

@@ -7,6 +7,7 @@ printed with per-seed data before asserting, and the hierarchical-DDPG
 clause is flagged rather than hard-failed.
 """
 
+import functools
 import math
 import os
 import warnings
@@ -284,10 +285,17 @@ def _desk_config(algo: str) -> harness.RunConfig:
     return harness.RunConfig(plan=plan, scenario=base.scenario, hyper=hyper, env=env)
 
 
+@functools.lru_cache(maxsize=None)
+def _desk_summary(algo: str, m: int, seed: int) -> metrics.RunSummary:
+    """One desk cell's summary, trained once: criterion 8 reuses criterion 7's M=1 DDPG cells.
+
+    Every caller gets the same object, so callers only read it.
+    """
+    return harness.run_cell(_desk_config(algo), algo, m, seed)[3]
+
+
 def _train_cells(algo: str, m: int, metric: str) -> list:
-    cfg = _desk_config(algo)
-    return [getattr(harness.run_cell(cfg, algo, m, seed)[3], metric)
-            for seed in SEEDS]
+    return [getattr(_desk_summary(algo, m, seed), metric) for seed in SEEDS]
 
 
 def test_criterion_7_ordering_claim():
@@ -329,8 +337,7 @@ def test_criterion_7_ordering_claim():
 def test_criterion_8_array_gain_trend():
     means = {}
     for m in (1, 4, 8):
-        vals = [getattr(harness.run_cell(_desk_config("ddpg"), "ddpg", m, seed)[3],
-                        "avg_effective_sinr_db") for seed in (0, 1, 2)]
+        vals = [_desk_summary("ddpg", m, seed).avg_effective_sinr_db for seed in (0, 1, 2)]
         means[m] = float(np.mean(vals))
     print(f"\nmean effective SINR by antennas: {means}")
     assert means[4] >= means[1] - 0.5

@@ -562,17 +562,14 @@ def test_hyperparams_validation():
     with pytest.raises(ConfigurationError):
         AgentHyperparams(meta_period=0)
     for key, bad in (("batch_size", 0), ("meta_batch_size", 0), ("controller_batch_size", 0),
-                     ("width", 0), ("position_bins", 0), ("power_levels", 0),
-                     ("noise_scale", -0.1), ("train_geometry_cycle", -3),
+                     ("width", 0), ("noise_scale", -0.1), ("train_geometry_cycle", -3),
                      ("q_lr", -0.1), ("replay_capacity", 0), ("depth", -1),
                      ("actor_weight_decay", -1e-3), ("critic_weight_decay", -1e-3),
-                     ("noise_end_frac", -1.0), ("goal_penalty_weight", -0.5),
-                     ("power_step_db", ()), ("q_power_step_db", ())):
+                     ("noise_end_frac", -1.0), ("goal_penalty_weight", -0.5)):
         with pytest.raises(ConfigurationError, match=f"^{key} "):
             AgentHyperparams(**{key: bad})
     edge = AgentHyperparams(q_lr=0.0, depth=0, replay_capacity=1, actor_weight_decay=0.0,
-                            critic_weight_decay=0.0, power_step_db=(2.0,), noise_scale=0.0,
-                            train_geometry_cycle=0)
+                            critic_weight_decay=0.0, noise_scale=0.0, train_geometry_cycle=0)
     assert (edge.q_lr, edge.depth, edge.replay_capacity) == (0.0, 0, 1)
     defaults = AgentHyperparams()
     assert (defaults.discount, defaults.tau, defaults.lr) == (0.9, 0.1, 1e-4)

@@ -165,7 +165,7 @@ def test_hierarchical_reward():
 
 
 def test_action_bounds_expose_table_limits():
-    env = make_env(m_antennas=8, power_span_db=(40.0, 40.0))
+    env = make_env(m_antennas=8)
     assert np.array_equal(env.action_low, [0.0, 0.0, 0.0, 0.0])
     assert np.array_equal(env.action_high, [40.0, 40.0, 7.0, 7.0])
 

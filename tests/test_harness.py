@@ -4,7 +4,7 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from cellbeam import harness, metrics
 from cellbeam.agents import ALGORITHMS, BaseAgent
 from cellbeam.channel import SCENARIO_PRESETS
 from cellbeam.agents import AgentHyperparams
-from cellbeam.errors import ConfigurationError
+from cellbeam.errors import ConfigurationError, reject_nonfinite
 
 
 def test_parse_config_empty_file_gives_table_defaults(tmp_path):
@@ -29,7 +29,6 @@ def test_parse_config_empty_file_gives_table_defaults(tmp_path):
     assert h.meta_period == 3
     assert h.batch_size == 128
     assert (h.meta_batch_size, h.controller_batch_size) == (64, 64)
-    assert (h.pc_limit_db, h.ic_limit_db) == (40.0, 40.0)
     assert cfg.plan.scenario == "sub6"
     assert cfg.env.gamma_cutoff_db == 4.0 and cfg.env.gamma0_db == 5.0
 
@@ -429,18 +428,11 @@ REFERENCE_SCHEMA = {
     "replay_capacity": ("hyper", "replay_capacity"),
     "dqn_greedy_margin": ("hyper", "dqn_greedy_margin"),
     "reward_scale": ("hyper", "reward_scale"),
-    "final_layer_scale": ("hyper", "final_layer_scale"),
     "actor_weight_decay": ("hyper", "actor_weight_decay"),
     "critic_weight_decay": ("hyper", "critic_weight_decay"),
     "goal_penalty_weight": ("hyper", "goal_penalty_weight"),
-    "power_step_db": ("hyper", "power_step_db"),
-    "pc_limit_db": ("hyper", "pc_limit_db"),
-    "ic_limit_db": ("hyper", "ic_limit_db"),
     "train_geometry_cycle": ("hyper", "train_geometry_cycle"),
-    "position_bins": ("hyper", "position_bins"),
-    "power_levels": ("hyper", "power_levels"),
     "q_lr": ("hyper", "q_lr"),
-    "q_power_step_db": ("hyper", "q_power_step_db"),
 }
 
 
@@ -458,8 +450,6 @@ def test_readme_lists_every_config_key():
 
 
 _UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
-_FLOAT_TUPLES = st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                         min_size=1, max_size=4).map(tuple)
 _KEY_VALUES = {
     "algo": st.lists(st.sampled_from(ALGORITHMS), min_size=1, max_size=5,
                      unique=True).map(tuple),
@@ -469,8 +459,6 @@ _KEY_VALUES = {
     "scenario": st.sampled_from(sorted(SCENARIO_PRESETS)),
     "out": st.text(min_size=1, max_size=12),
     "format": st.sampled_from(("csv", "json")),
-    "power_step_db": _FLOAT_TUPLES,
-    "q_power_step_db": _FLOAT_TUPLES,
     # the power ranges need a cap (30 dBm at 1 W) above the floor
     "max_bs_power_w": st.floats(1.0, 100.0),
 }
@@ -562,20 +550,30 @@ def test_negative_seeds_exit_2_and_write_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@dataclass
+class _TupleSection:
+    steps: tuple[float, ...] = (1.0, 3.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reject_nonfinite_names_a_tuple_field_listing_a_nonfinite_value(bad):
+    reject_nonfinite(_TupleSection())
+    with pytest.raises(ConfigurationError, match="^steps must be finite"):
+        reject_nonfinite(_TupleSection(steps=(1.0, bad, 3.0)))
+
+
 def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
     for key, bad in (("q_lr", "-0.1"), ("replay_capacity", "0"), ("depth", "-1"),
                      ("actor_weight_decay", "-1"), ("critic_weight_decay", "-0.5"),
                      ("noise_end_frac", "-1"), ("goal_penalty_weight", "-0.1"),
-                     ("power_step_db", ""), ("q_power_step_db", ""), ("lr", "nan"),
-                     ("q_lr", "nan"), ("noise_scale", "nan"), ("reward_scale", "nan"),
-                     ("gamma_cutoff_db", "nan"), ("power_floor_dbm", "nan"),
-                     ("power_step_db", "1,nan"), ("cell_radius_m", "nan"),
-                     ("gamma0_db", "inf"), ("power_floor_dbm", "-inf"), ("pc_limit_db", "inf"),
+                     ("lr", "nan"), ("q_lr", "nan"), ("noise_scale", "nan"),
+                     ("reward_scale", "nan"), ("gamma_cutoff_db", "nan"),
+                     ("power_floor_dbm", "nan"), ("cell_radius_m", "nan"),
+                     ("gamma0_db", "inf"), ("power_floor_dbm", "-inf"),
                      ("noise_scale", "inf"), ("ue_speed_kmh", "inf"),
                      ("noise_power_dbm", "inf"), ("noise_power_dbm", "-inf"),
-                     ("q_power_step_db", "3,-inf"),
-                     # action ranges whose top lies below the bottom at M=1
-                     ("pc_limit_db", "-5"), ("ic_limit_db", "-1"), ("power_floor_dbm", "50"),
+                     # an action range whose top lies below the bottom at M=1
+                     ("power_floor_dbm", "50"),
                      # outside [0, 100] dB: an unbounded CCDF grid, or an inverted SINR band
                      ("gamma0_db", "5000"), ("gamma0_db", "1e9"), ("gamma0_db", "-10")):
         path = tmp_path / f"{key}.cfg"
@@ -588,7 +586,7 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, bad", [("pc_limit_db", -5.0), ("power_floor_dbm", 50.0)])
+@pytest.mark.parametrize("key, bad", [("power_floor_dbm", 50.0)])
 def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key, bad):
     section, attr, _ = harness.CONFIG_SCHEMA[key]
     cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "ddpg"), antenna_counts=(1, 4))
@@ -598,19 +596,25 @@ def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key
     assert not os.path.exists(cfg.plan.output_dir)
 
 
-def test_beam_range_multiplier_is_no_longer_a_key(tmp_path, monkeypatch, capsys):
+# keys whose one value in use became a constant; each is now unknown
+@pytest.mark.parametrize("key", ["bf_limit_multiplier", "pc_limit_db", "ic_limit_db",
+                                 "power_step_db", "q_power_step_db", "position_bins",
+                                 "power_levels", "final_layer_scale"])
+def test_beam_range_multiplier_is_no_longer_a_key(tmp_path, monkeypatch, capsys, key):
     path = tmp_path / "cfg"
-    path.write_text("bf_limit_multiplier=1\n")
-    with pytest.raises(ConfigurationError, match="unknown key 'bf_limit_multiplier'"):
+    path.write_text(f"{key}=1\n")
+    with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
         harness.parse_config(path)
-    out = tmp_path / "o"
-    assert harness.main(["--config", str(path), "--algo", "fpa", "--antennas", "1",
-                         "--episodes", "2", "--out", str(out)]) == 2
-    assert "bf_limit_multiplier" in capsys.readouterr().err
-    assert not out.exists()
-    monkeypatch.setenv("CELLBEAM_BF_LIMIT_MULTIPLIER", "1")
-    with pytest.raises(ConfigurationError, match="CELLBEAM_BF_LIMIT_MULTIPLIER"):
+    args = ["--algo", "fpa", "--antennas", "1", "--episodes", "2", "--out", str(tmp_path / "o")]
+    assert harness.main(["--config", str(path)] + args) == 2
+    assert key in capsys.readouterr().err
+    variable = "CELLBEAM_" + key.upper()
+    monkeypatch.setenv(variable, "1")
+    with pytest.raises(ConfigurationError, match=variable):
         harness.parse_config()
+    assert harness.main(args) == 2
+    assert variable in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_plan_rejects_empty_lists(tmp_path):
