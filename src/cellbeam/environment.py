@@ -25,11 +25,10 @@ from .beamcode import beam_from_continuous, build_codebook
 from .errors import ConfigurationError, ContractViolation, UsageError
 
 ACTION_SIZE = 4
-WATTS_CACHED = 1024     # applied powers a DownlinkEnv keeps in watts; DDPG's are continuous
 # Bytes that the trace of a lockstep block may hold: 12 episodes at M=64
 # (15 paths, horizon 50), 48 at M=1 and 45 at M=4 with horizon 20.
 BLOCK_BYTES = 1 << 21
-# learners' power range over the floor; at 0 dBm it stops below the cap (CHANGES.md FOUND line 21)
+# learners' power range over the floor, cut at the cap; sub6's stops below it (CHANGES.md line 21)
 POWER_SPAN_DB = 40.0
 
 
@@ -88,19 +87,17 @@ class DownlinkEnv:
     play one episode as a block of one.
     """
 
+    power_floor_dbm = 0.0   # the lowest power a BS applies
+
     def __init__(self, scenario: chan.Scenario, m_antennas: int = 1, horizon: int = 50,
-                 policy: SinrPolicy | None = None, power_floor_dbm: float = 0.0):
+                 gamma_cutoff_db: float = 4.0):
         if horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
+        if scenario.max_bs_power_dbm < self.power_floor_dbm:
+            raise ConfigurationError("max_bs_power_w puts the power cap below the 0 dBm floor")
         self.scenario, self.m_antennas, self.horizon = scenario, int(m_antennas), int(horizon)
         self.codebook = build_codebook(self.m_antennas)    # half-wavelength spacing
-        self.policy = policy or SinrPolicy(m_antennas=self.m_antennas)
-        if self.policy.m_antennas != self.m_antennas:
-            raise ConfigurationError("SinrPolicy antenna count must match the environment")
-        self.power_floor_dbm = float(power_floor_dbm)
-        if self.power_floor_dbm > scenario.max_bs_power_dbm:
-            raise ConfigurationError("power_floor_dbm exceeds the maximum transmit power")
-        self._watts = {}     # dBm -> chan.dbm_to_watts(dBm), WATTS_CACHED at most after a frame
+        self.policy = SinrPolicy(gamma_cutoff_db, m_antennas=self.m_antennas)
         self._frames = self.channel_state = None
         self._done = True
 
@@ -112,7 +109,8 @@ class DownlinkEnv:
 
     @property
     def action_high(self) -> np.ndarray:
-        hi, nmax = self.power_floor_dbm + POWER_SPAN_DB, self.codebook.size - 1.0
+        hi = min(self.power_floor_dbm + POWER_SPAN_DB, self.scenario.max_bs_power_dbm)
+        nmax = self.codebook.size - 1.0
         return np.array([hi, hi, nmax, nmax])
 
     @property
@@ -237,13 +235,9 @@ class DownlinkEnv:
         self._powers_dbm, self._beams = self.apply_action(actions)
         self._t += 1
 
-        # chan.dbm_to_watts per entry (numpy's vectorised power rounds some inputs
-        # differently), through a per-value cache that empties once it overfills
-        powers_w = np.array([self._watts.get(p) or self._watts.setdefault(p, chan.dbm_to_watts(p))
-                             for p in self._powers_dbm.ravel().tolist()]
+        # chan.dbm_to_watts per entry: numpy's vectorised power rounds some inputs differently
+        powers_w = np.array(list(map(chan.dbm_to_watts, self._powers_dbm.ravel().tolist()))
                             ).reshape(self._powers_dbm.shape)
-        if len(self._watts) > WATTS_CACHED:
-            self._watts.clear()
         sinr_lin = chan.compute_sinr(chan.channel_vectors(self.channel_state, self._t),
                                      self._frames, self.codebook.vectors[self._beams],
                                      powers_w, self.scenario)

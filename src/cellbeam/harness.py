@@ -38,15 +38,11 @@ class EnvSettings:
 
     horizon: int = 50
     gamma_cutoff_db: float = 4.0
-    gamma0_db: float = 5.0
-    power_floor_dbm: float = 0.0
 
     def __post_init__(self):
         reject_nonfinite(self)
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
-        if not 0.0 <= self.gamma0_db <= 100.0:
-            raise ConfigurationError("gamma0_db must lie in [0, 100] dB")
 
 
 @dataclass
@@ -290,10 +286,8 @@ def validate_policy(agent, env, seeds, z: float = CONFIDENCE_Z) -> Validation | 
 
 
 def build_env(cfg: RunConfig, m_antennas: int) -> DownlinkEnv:
-    policy = SinrPolicy(gamma_cutoff_db=cfg.env.gamma_cutoff_db,
-                        gamma0_db=cfg.env.gamma0_db, m_antennas=m_antennas)
     return DownlinkEnv(cfg.scenario, m_antennas=m_antennas, horizon=cfg.env.horizon,
-                       policy=policy, power_floor_dbm=cfg.env.power_floor_dbm)
+                       gamma_cutoff_db=cfg.env.gamma_cutoff_db)
 
 
 def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=None):
@@ -361,8 +355,7 @@ def run_plan(cfg: RunConfig):
 
     summaries, sample_sets = [], []
     fpa_evals = {}      # (M, seed) -> evaluation logs of FPA, for this plan only
-    max_cap = max(SinrPolicy(gamma0_db=cfg.env.gamma0_db, m_antennas=m).gamma_max_db
-                  for m in cfg.plan.antenna_counts)
+    max_cap = max(SinrPolicy(m_antennas=m).gamma_max_db for m in cfg.plan.antenna_counts)
     grid = np.arange(-1.0, math.ceil(max_cap) + 1.5, 0.5)
 
     for algo in cfg.plan.algorithms:

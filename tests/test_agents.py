@@ -13,7 +13,7 @@ from cellbeam.agents import (AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent, Hd
                              make_agent, qlearning_update)
 from cellbeam.agents.common import agent_stream, discrete_action_table
 from cellbeam.agents.ddpg import actor_policy_gradient
-from cellbeam.environment import DownlinkEnv, SinrPolicy
+from cellbeam.environment import DownlinkEnv
 from cellbeam.errors import ConfigurationError, ContractViolation
 
 
@@ -491,8 +491,7 @@ def test_hddpg_meta_reward_sums_window():
 
 
 def test_hddpg_meta_buffer_count_floor_t_over_c():
-    env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=50,
-                      policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=1))
+    env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=50, gamma_cutoff_db=-1e9)
     hyper = small_hyper(meta_period=3, batch_size=10_000, meta_batch_size=10_000,
                         controller_batch_size=10_000)
     agent = HddpgAgent(env, hyper, seed=1)
@@ -594,8 +593,7 @@ def test_agents_save_checkpoints(tmp_path):
 
 
 def test_mmwave_preset_end_to_end():
-    env = DownlinkEnv(preset("mmwave"), m_antennas=4, horizon=5,
-                      policy=SinrPolicy(m_antennas=4))
+    env = DownlinkEnv(preset("mmwave"), m_antennas=4, horizon=5)
     agent = make_agent("ddpg", env, small_hyper(), seed=5)
     log = agent.run_episode(env, seed=0, train=True)
     assert log.steps >= 1 and np.all(np.isfinite(log.rewards))
@@ -604,8 +602,7 @@ def test_mmwave_preset_end_to_end():
 # -- truncation, critic inputs and the baseline anchor ------------------------------
 
 def _quiet_env(horizon=5):
-    return DownlinkEnv(preset("sub6"), m_antennas=1, horizon=horizon,
-                       policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=1))
+    return DownlinkEnv(preset("sub6"), m_antennas=1, horizon=horizon, gamma_cutoff_db=-1e9)
 
 
 def _noisy_env():
@@ -742,8 +739,7 @@ def test_validation_keeps_fpa_without_a_gain():
 
 @pytest.mark.parametrize("name", ["dqn", "ddpg", "hddpg"])
 def test_validation_leaves_the_greedy_act_unchanged(name):
-    env = DownlinkEnv(preset("sub6"), m_antennas=4, horizon=5,
-                      policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=4))
+    env = DownlinkEnv(preset("sub6"), m_antennas=4, horizon=5, gamma_cutoff_db=-1e9)
     agent = make_agent(name, env, small_hyper(), seed=0)
     for e in range(3):
         agent.run_episode(env, 100 + e, train=True)
@@ -760,7 +756,7 @@ def test_validation_leaves_the_greedy_act_unchanged(name):
 # -- per-step costs that keep every bit ---------------------------------------------
 
 def test_qlearning_keys_each_state_once_and_learns_the_same_table(monkeypatch):
-    env = make_env(horizon=20, policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=1))
+    env = make_env(horizon=20, gamma_cutoff_db=-1e9)
     hyper = small_hyper(eps_start=0.5, eps_end=0.5)    # exploring and greedy acts
     keyed, key = [], StateDiscretizer.key
     monkeypatch.setattr(StateDiscretizer, "key",

@@ -9,7 +9,7 @@ from cellbeam import channel as chan
 from cellbeam import preset
 from cellbeam.agents import FpaAgent
 from cellbeam.channel import channel_vectors
-from cellbeam.environment import WATTS_CACHED, DownlinkEnv, SinrPolicy, hierarchical_reward
+from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
 from cellbeam.errors import ContractViolation, UsageError
 from cellbeam.harness import VALID_ANTENNA_COUNTS
 
@@ -43,6 +43,13 @@ def test_sinr_policy_formulas():
     assert pol.gamma_target_db == pytest.approx(5.0 + 10 * math.log10(4))
     assert pol.gamma_max_db == pytest.approx(25.0)
     assert pol.gamma_cutoff_db == 4.0
+
+
+def test_env_builds_its_policy_from_the_cutoff_and_its_antenna_count():
+    for m in VALID_ANTENNA_COUNTS:
+        for cutoff in (-1e9, 3.5, 4.0):
+            env = DownlinkEnv(preset("sub6"), m_antennas=m, gamma_cutoff_db=cutoff)
+            assert env.policy == SinrPolicy(cutoff, m_antennas=m)
 
 
 def test_effective_sinr_caps_and_floors():
@@ -106,8 +113,7 @@ def test_abort_on_low_sinr():
 
 
 def test_no_abort_when_cutoff_disabled():
-    env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=5,
-                      policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=1))
+    env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=5, gamma_cutoff_db=-1e9)
     env.reset(4)
     steps = 0
     done = False
@@ -133,7 +139,7 @@ def test_termination_rule_matches_cutoff():
 def test_reward_cap_applies_before_summation():
     # quiet noise and a silent interferer push the served SINR above the cap
     env = DownlinkEnv(preset("sub6", noise_power_dbm=-200.0), m_antennas=4, horizon=5,
-                      policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=4))
+                      gamma_cutoff_db=-1e9)
     env.reset(6)
     out = env.step(np.array([46.0, 0.0, 0.0, 0.0]))
     # UE 0's raw SINR is astronomical; its effective share is exactly the cap
@@ -195,8 +201,7 @@ def test_full_episode_trajectory_is_deterministic():
 
 
 def test_horizon_truncates_and_abort_terminates():
-    env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=3,
-                      policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=1))
+    env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=3, gamma_cutoff_db=-1e9)
     env.reset(4)
     flags = [(out.terminated, out.truncated, out.done) for out in
              (env.step(np.array([40.0, 40.0, 0.0, 0.0])) for _ in range(3))]
@@ -227,8 +232,7 @@ def test_episode_builds_its_steering_once(monkeypatch):
     build = cellbeam.channel.steering_matrix
     monkeypatch.setattr(cellbeam.channel, "steering_matrix",
                         lambda *args, **kwargs: calls.append(args) or build(*args, **kwargs))
-    env = make_env(m_antennas=64, horizon=50,
-                   policy=SinrPolicy(gamma_cutoff_db=-1000.0, m_antennas=64))
+    env = make_env(m_antennas=64, horizon=50, gamma_cutoff_db=-1000.0)
     env.reset(3)
     steps = 0
     while True:
@@ -241,19 +245,18 @@ def test_episode_builds_its_steering_once(monkeypatch):
 
 
 @given(m=st.sampled_from(VALID_ANTENNA_COUNTS),
-       floor=st.floats(-30.0, 40.0),
        action=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                        min_size=4, max_size=4))
-def test_apply_action_lands_in_range_for_any_finite_action(m, floor, action):
-    env = make_env(m_antennas=m, power_floor_dbm=floor)
+def test_apply_action_lands_in_range_for_any_finite_action(m, action):
+    env = make_env(m_antennas=m)
     powers, beams = env.apply_action(action)
-    assert np.all(powers >= floor) and np.all(powers <= env.scenario.max_bs_power_dbm)
+    assert np.all(powers >= env.power_floor_dbm)
+    assert np.all(powers <= env.scenario.max_bs_power_dbm)
     assert np.all(beams >= 0) and np.all(beams < env.codebook.size)
 
 
 def test_block_frames_equal_one_episode_steps_and_step_refuses_a_block():
-    env = make_env(m_antennas=4, horizon=6,
-                   policy=SinrPolicy(gamma_cutoff_db=-1e9, m_antennas=4))
+    env = make_env(m_antennas=4, horizon=6, gamma_cutoff_db=-1e9)
     seeds, actions = [3, 8, 5], np.array([[40.0, 20.0, 1.2, 3.7], [10.0, 46.0, 0.0, 2.0],
                                           [30.0, 30.0, 3.9, 0.5]])
     states = env.start(seeds, [None, 3, None])
@@ -400,15 +403,3 @@ def test_advance_converts_each_applied_power_like_dbm_to_watts():
         assert out.info["powers_w"].shape == (3, 2)
         assert out.info["powers_w"].ravel().tobytes() == np.array(want).tobytes()
 
-
-def test_the_watt_cache_stays_bounded():
-    env = make_env(horizon=10)
-    env.start(list(range(500)))
-    rng = np.random.default_rng(6)
-    # 10^4 distinct powers, 10^3 a frame
-    for _ in range(10):
-        powers = rng.uniform(env.power_floor_dbm, env.scenario.max_bs_power_dbm, (500, 2))
-        out = env.advance(np.concatenate([powers, np.zeros((500, 2))], axis=1))
-        assert len(env._watts) <= WATTS_CACHED
-        assert all(w == chan.dbm_to_watts(p) for w, p in zip(out.info["powers_w"].flat, powers.flat))
-    assert all(w == chan.dbm_to_watts(p) for p, w in env._watts.items())

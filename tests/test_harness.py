@@ -30,7 +30,8 @@ def test_parse_config_empty_file_gives_table_defaults(tmp_path):
     assert h.batch_size == 128
     assert (h.meta_batch_size, h.controller_batch_size) == (64, 64)
     assert cfg.plan.scenario == "sub6"
-    assert cfg.env.gamma_cutoff_db == 4.0 and cfg.env.gamma0_db == 5.0
+    assert cfg.env.gamma_cutoff_db == 4.0
+    assert harness.build_env(cfg, 4).policy.gamma_max_db == 25.0
 
 
 def test_parse_config_none_path_gives_defaults():
@@ -215,17 +216,23 @@ def test_cli_json_format(tmp_path):
 
 def test_env_settings_keys_parse(tmp_path):
     path = tmp_path / "cfg"
-    path.write_text("horizon=25\ngamma_cutoff_db=3.5\ngamma0_db=6.0\npower_floor_dbm=2.0\n")
+    path.write_text("horizon=25\ngamma_cutoff_db=3.5\n")
     cfg = harness.parse_config(path)
     assert cfg.env.horizon == 25
     assert cfg.env.gamma_cutoff_db == 3.5
-    assert cfg.env.gamma0_db == 6.0
-    assert cfg.env.power_floor_dbm == 2.0
     env = harness.build_env(cfg, 4)
     assert env.horizon == 25
     assert env.policy.gamma_cutoff_db == 3.5
-    assert env.policy.gamma0_db == 6.0
-    assert env.power_floor_dbm == 2.0
+
+
+def test_learners_power_range_stops_at_the_cap():
+    # a 5 W cap (36.99 dBm) cuts the 40 dB span; the default 40 W cap (46.02 dBm) does not
+    env = harness.build_env(harness.parse_config(cli_values={"max_bs_power_w": "5"}), 1)
+    assert env.action_high[:2].tolist() == [env.scenario.max_bs_power_dbm] * 2
+    assert env.scenario.max_bs_power_dbm < 40.0
+    env = harness.build_env(harness.parse_config(), 1)
+    assert env.action_high[:2].tolist() == [40.0, 40.0]
+    assert env.action_low[:2].tolist() == [env.power_floor_dbm] * 2 == [0.0, 0.0]
 
 
 def test_run_plan_writes_checkpoints(tmp_path):
@@ -409,8 +416,6 @@ REFERENCE_SCHEMA = {
     "max_bs_power_w": ("scenario", "max_bs_power_w"),
     "horizon": ("env", "horizon"),
     "gamma_cutoff_db": ("env", "gamma_cutoff_db"),
-    "gamma0_db": ("env", "gamma0_db"),
-    "power_floor_dbm": ("env", "power_floor_dbm"),
     "discount": ("hyper", "discount"),
     "tau": ("hyper", "tau"),
     "lr": ("hyper", "lr"),
@@ -568,14 +573,10 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
                      ("noise_end_frac", "-1"), ("goal_penalty_weight", "-0.1"),
                      ("lr", "nan"), ("q_lr", "nan"), ("noise_scale", "nan"),
                      ("reward_scale", "nan"), ("gamma_cutoff_db", "nan"),
-                     ("power_floor_dbm", "nan"), ("cell_radius_m", "nan"),
-                     ("gamma0_db", "inf"), ("power_floor_dbm", "-inf"),
-                     ("noise_scale", "inf"), ("ue_speed_kmh", "inf"),
+                     ("cell_radius_m", "nan"), ("noise_scale", "inf"), ("ue_speed_kmh", "inf"),
                      ("noise_power_dbm", "inf"), ("noise_power_dbm", "-inf"),
-                     # an action range whose top lies below the bottom at M=1
-                     ("power_floor_dbm", "50"),
-                     # outside [0, 100] dB: an unbounded CCDF grid, or an inverted SINR band
-                     ("gamma0_db", "5000"), ("gamma0_db", "1e9"), ("gamma0_db", "-10")):
+                     # a power cap (-3 dBm) below the 0 dBm floor: an empty action range
+                     ("max_bs_power_w", "0.0005")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key}={bad}\n")
         out = tmp_path / key
@@ -586,7 +587,7 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("key, bad", [("power_floor_dbm", 50.0)])
+@pytest.mark.parametrize("key, bad", [("max_bs_power_w", 5e-4)])
 def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key, bad):
     section, attr, _ = harness.CONFIG_SCHEMA[key]
     cfg = _tiny_cfg(tmp_path, algorithms=("fpa", "ddpg"), antenna_counts=(1, 4))
@@ -599,7 +600,8 @@ def test_run_plan_rejects_inverted_action_ranges_before_any_output(tmp_path, key
 # keys whose one value in use became a constant; each is now unknown
 @pytest.mark.parametrize("key", ["bf_limit_multiplier", "pc_limit_db", "ic_limit_db",
                                  "power_step_db", "q_power_step_db", "position_bins",
-                                 "power_levels", "final_layer_scale"])
+                                 "power_levels", "final_layer_scale", "gamma0_db",
+                                 "power_floor_dbm"])
 def test_beam_range_multiplier_is_no_longer_a_key(tmp_path, monkeypatch, capsys, key):
     path = tmp_path / "cfg"
     path.write_text(f"{key}=1\n")

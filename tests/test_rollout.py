@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cellbeam import channel as chan
 from cellbeam import environment, preset
 from cellbeam.agents import AgentHyperparams, FpaAgent, make_agent
-from cellbeam.environment import DownlinkEnv, SinrPolicy
+from cellbeam.environment import DownlinkEnv
 from cellbeam.harness import VALID_ANTENNA_COUNTS
 
 # learners train a few episodes first, then act on their learned policy
@@ -18,8 +18,7 @@ FIELDS = ("states", "actions", "rewards", "losses", "eff_sinr_db", "powers_dbm",
 
 
 def _env(m, horizon, cutoff_db):
-    return DownlinkEnv(preset("sub6"), m_antennas=m, horizon=horizon,
-                       policy=SinrPolicy(gamma_cutoff_db=cutoff_db, m_antennas=m))
+    return DownlinkEnv(preset("sub6"), m_antennas=m, horizon=horizon, gamma_cutoff_db=cutoff_db)
 
 
 def _agent(kind, env):
