@@ -19,7 +19,7 @@ for name in ("sub6", "mmwave"):
 
 sc = preset("sub6")
 print("\n=== topology (2 BSs, 1 UE each, seed 0) ===")
-topo = init_topology(sc, num_bs=2, ues_per_bs=1, seed=0)
+topo = init_topology(sc, seed=0)
 print("BS positions:\n", topo.bs_positions)
 print("UE positions:\n", topo.ue_positions.round(1))
 for ue in range(2):
@@ -44,7 +44,7 @@ codebook = build_codebook(m_antennas=1)
 powers = np.array([sc.max_bs_power_w, sc.max_bs_power_w])
 for t in range(5):
     draw_channels(topo, sc, 1, state)
-    sinr = compute_sinr(state, topo, codebook.vectors[[0, 0]], powers, sc)
+    sinr = compute_sinr(state, codebook.vectors[[0, 0]], powers, sc)
     print(f"  frame {t}: SINR per UE = {np.round(10 * np.log10(sinr), 2)} dB")
 
 print("\n=== fading energy sanity: mean |h|^2 against path loss * antenna gain ===")

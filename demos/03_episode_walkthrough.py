@@ -18,7 +18,7 @@ for name, value in zip(labels, state):
     print(f"  {name:8s} = {value:9.3f}")
 print(f"action bounds: low {env.action_low}  high {env.action_high}")
 print(f"SINR policy: cutoff {env.policy.gamma_cutoff_db} dB, "
-      f"cap {env.policy.gamma_max_db:.0f} dB, target {env.policy.gamma_target_db:.1f} dB")
+      f"cap {env.policy.gamma_max_db:.0f} dB")
 
 print("\n=== a hand-driven episode (serving power up, interferer down) ===")
 done = False

@@ -108,9 +108,10 @@ class AgentHyperparams:
             raise ConfigurationError("discount must lie in (0, 1)")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigurationError("tau must lie in [0, 1]")
+        batch = max(self.batch_size, self.meta_batch_size, self.controller_batch_size)
         for name, low in (("width", 1), ("depth", 0), ("batch_size", 1), ("meta_batch_size", 1),
-                          ("controller_batch_size", 1), ("meta_period", 1), ("replay_capacity", 1),
-                          ("noise_scale", 0), ("train_geometry_cycle", 0), ("q_lr", 0),
+                          ("controller_batch_size", 1), ("meta_period", 1), ("noise_scale", 0),
+                          ("replay_capacity", batch), ("train_geometry_cycle", 0), ("q_lr", 0),
                           ("actor_weight_decay", 0), ("critic_weight_decay", 0),
                           ("noise_end_frac", 0), ("goal_penalty_weight", 0)):
             if getattr(self, name) < low:

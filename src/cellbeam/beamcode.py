@@ -1,4 +1,4 @@
-"""Beamsteering codebook for a uniform linear array.
+"""Beamsteering codebook for a half-wavelength uniform linear array.
 
 The codebook holds one unit-norm steering vector per angle, with the
 steering angles splitting [0, pi) into M equal steps.  Agents address it
@@ -16,15 +16,14 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 
 
-def steering_matrix(thetas, m_antennas: int,
-                    spacing_in_wavelengths: float = 0.5) -> np.ndarray:
-    """Array responses a(theta) of an M-element ULA, entries of modulus 1/sqrt(M).
+def steering_matrix(thetas, m_antennas: int) -> np.ndarray:
+    """Responses a(theta) of an M-element half-wavelength ULA, entries of modulus 1/sqrt(M).
 
     One steering vector per angle: the output shape is thetas.shape + (M,).
     """
     if m_antennas < 1:
         raise ConfigurationError("m_antennas must be >= 1")
-    kd = 2.0 * math.pi * spacing_in_wavelengths
+    kd = math.pi    # 2 pi d / lambda at d = lambda / 2
     m_idx = np.arange(m_antennas)
     # in place, as a lockstep block's tensors are large
     vectors = np.multiply(1j, kd * np.cos(np.asarray(thetas, dtype=float))[..., None] * m_idx)
@@ -37,8 +36,6 @@ def steering_matrix(thetas, m_antennas: int,
 class Codebook:
     """Immutable ordered set of beamsteering vectors."""
 
-    m_antennas: int
-    spacing_in_wavelengths: float
     angles: np.ndarray = field(repr=False)   # (N_CB,) radians
     vectors: np.ndarray = field(repr=False)  # (N_CB, M) complex
 
@@ -47,16 +44,15 @@ class Codebook:
         return self.vectors.shape[0]
 
 
-def build_codebook(m_antennas: int, spacing_in_wavelengths: float = 0.5) -> Codebook:
+def build_codebook(m_antennas: int) -> Codebook:
     """Codebook with steering angles theta_n = pi n / M, n = 0..M-1."""
     if m_antennas < 1:
         raise ConfigurationError("codebook needs at least one antenna")
     angles = math.pi * np.arange(m_antennas) / m_antennas
-    vectors = steering_matrix(angles, m_antennas, spacing_in_wavelengths)
+    vectors = steering_matrix(angles, m_antennas)
     angles.setflags(write=False)
     vectors.setflags(write=False)
-    return Codebook(m_antennas=m_antennas, spacing_in_wavelengths=spacing_in_wavelengths,
-                    angles=angles, vectors=vectors)
+    return Codebook(angles=angles, vectors=vectors)
 
 
 def step_beam(index, direction, codebook_size: int):

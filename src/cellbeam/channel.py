@@ -1,11 +1,12 @@
 """Time-varying two-cell downlink channel: geometry, mobility, fading, SINR.
 
-The world is two base stations (BS) one inter-site distance apart, each
-serving user equipments (UEs) scattered in a disc around it.  Channels are
-multipath sums of steering vectors with autoregressive complex path gains,
-scaled by a log-distance path loss.  Everything is driven by explicit
-numpy Generators so a (scenario, seed, step count) triple reproduces the
-exact same trajectory.
+Two base stations (BS) with half-wavelength uniform linear arrays stand one
+inter-site distance apart; UE u moves in a disc around BS u, its server, so
+SINR_u = P_u |h_uu^T f_u|^2 / (P_{1-u} |h_{1-u,u}^T f_{1-u}|^2 + N).
+Channels are multipath sums of steering vectors with autoregressive complex
+path gains, scaled by a log-distance path loss.  Everything is driven by
+explicit numpy Generators so a (scenario, seed, step count) triple
+reproduces the exact same trajectory.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ REFERENCE_DISTANCE_M = 1.0
 
 # Largest per-step heading change under the mobility model.
 MAX_TURN_RAD = math.pi / 8.0
+
+_UES = np.arange(2)     # UE u is served by BS u
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -107,50 +110,36 @@ def preset(name: str, **overrides) -> Scenario:
 
 @dataclass
 class Topology:
-    """BS/UE geometry plus the fixed UE -> serving BS map; UE arrays may lead with more axes."""
+    """BS/UE geometry, UE u served by BS u; UE arrays may lead with more axes."""
 
-    bs_positions: np.ndarray        # (L, 2) metres
-    ue_positions: np.ndarray        # (..., U, 2) metres
-    serving_map: np.ndarray         # (U,) BS index per UE
-    ue_headings: np.ndarray         # (..., U) radians, mobility direction
-    num_bs: int
-
-    @property
-    def num_ues(self) -> int:
-        return self.serving_map.shape[0]
+    bs_positions: np.ndarray        # (2, 2) metres
+    ue_positions: np.ndarray        # (..., 2, 2) metres
+    ue_headings: np.ndarray         # (..., 2) radians, mobility direction
 
     def moved(self, ue_positions, ue_headings) -> "Topology":
         """The same deployment with other UE positions and headings; cheaper than ``replace``."""
-        return Topology(self.bs_positions, ue_positions, self.serving_map, ue_headings, self.num_bs)
+        return Topology(self.bs_positions, ue_positions, ue_headings)
 
     def serving_distance_m(self, ue: int):
         """UE ``ue``'s distance to its serving BS; one per episode on a block."""
-        bs = self.bs_positions[self.serving_map[ue]]
-        return np.linalg.norm(self.ue_positions[..., ue, :] - bs, axis=-1)
+        return np.linalg.norm(self.ue_positions[..., ue, :] - self.bs_positions[ue], axis=-1)
 
 
-def init_topology(scenario: Scenario, num_bs: int, ues_per_bs: int, seed) -> Topology:
-    """Place the two BSs and drop UEs uniformly inside each serving disc.
+def init_topology(scenario: Scenario, seed) -> Topology:
+    """Place the two BSs and drop one UE uniformly inside each serving disc.
 
-    The BSs sit on a line one inter-site distance apart.  Each UE lands
-    uniformly in a disc of radius cell_radius/2 centred on its serving BS.
+    The BSs sit on a line one inter-site distance apart.  UE u lands
+    uniformly in a disc of radius cell_radius/2 centred on BS u.
     """
-    if num_bs != 2:
-        raise ConfigurationError("exactly 2 base stations are supported")
-    if ues_per_bs < 1:
-        raise ConfigurationError("each base station must serve at least 1 UE")
     rng = np.random.default_rng(seed)
     bs = np.array([[0.0, 0.0], [scenario.inter_site_distance_m, 0.0]])
 
     disc_radius = scenario.cell_radius_m / 2.0
-    total = num_bs * ues_per_bs
-    serving = np.repeat(np.arange(num_bs), ues_per_bs)
-    radii = disc_radius * np.sqrt(rng.random(total))
-    angles = rng.uniform(0.0, 2.0 * math.pi, total)
+    radii = disc_radius * np.sqrt(rng.random(2))
+    angles = rng.uniform(0.0, 2.0 * math.pi, 2)
     offsets = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
-    headings = rng.uniform(0.0, 2.0 * math.pi, total)
-    return Topology(bs_positions=bs, ue_positions=bs[serving] + offsets, serving_map=serving,
-                    ue_headings=headings, num_bs=num_bs)
+    headings = rng.uniform(0.0, 2.0 * math.pi, 2)
+    return Topology(bs_positions=bs, ue_positions=bs + offsets, ue_headings=headings)
 
 
 def step_mobility(topology: Topology, scenario: Scenario, rng) -> Topology:
@@ -160,13 +149,13 @@ def step_mobility(topology: Topology, scenario: Scenario, rng) -> Topology:
     and moves speed * frame_duration metres.  A UE crossing its serving
     disc boundary is folded back inside and its heading mirrored on the
     boundary tangent, so no UE ever leaves its disc.  ``rng`` draws one
-    frame's turns; turns drawn before, (n, ..., U), walk n frames, and the
+    frame's turns; turns drawn before, (n, ..., 2), walk n frames, and the
     UE arrays of the result then lead with that frame axis.
     """
     drawn = isinstance(rng, np.ndarray)
-    turns = rng if drawn else rng.uniform(-MAX_TURN_RAD, MAX_TURN_RAD, (1, topology.num_ues))
+    turns = rng if drawn else rng.uniform(-MAX_TURN_RAD, MAX_TURN_RAD, (1, 2))
     step_len = scenario.ue_speed_mps * scenario.frame_duration_s
-    radius, centers = scenario.cell_radius_m / 2.0, topology.bs_positions[topology.serving_map]
+    radius, centers = scenario.cell_radius_m / 2.0, topology.bs_positions
     pos, headings, t = topology.ue_positions, topology.ue_headings, 0
     walked, heads = np.empty(turns.shape + (2,)), np.empty(turns.shape)
     while t < len(turns):
@@ -273,7 +262,7 @@ def _fade(gains, normals: np.ndarray, rho: float, los: np.ndarray) -> np.ndarray
 
 
 def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int, state: ChannelState,
-                  spacing_in_wavelengths: float = 0.5, normals=None) -> ChannelState:
+                  normals=None) -> ChannelState:
     """Advance the fading state and rebuild all channel vectors.
 
     Each link's channel is
@@ -291,12 +280,12 @@ def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int, state
     """
     if m_antennas < 1:
         raise ConfigurationError("m_antennas must be >= 1")
-    shape = (topology.num_bs, topology.num_ues, scenario.n_paths)
+    shape = (2, 2, scenario.n_paths)
     if state.path_angles is None:
         state.path_angles, state.los = draw_paths(state.rng, scenario, shape)
     if state.steering is None:
         state.rho = doppler_correlation(scenario)
-        state.steering = steering_matrix(state.path_angles, m_antennas, spacing_in_wavelengths)
+        state.steering = steering_matrix(state.path_angles, m_antennas)
     elif state.steering.shape[-1] != m_antennas:
         raise ContractViolation("a channel state keeps the antenna count of its first draw")
     drawn = normals is not None
@@ -321,12 +310,13 @@ def channel_vectors(state: ChannelState, frame=...) -> np.ndarray:
     return vectors
 
 
-def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarray,
-                 powers_w: np.ndarray, scenario: Scenario) -> np.ndarray:
+def compute_sinr(state: ChannelState, beam_vectors: np.ndarray, powers_w: np.ndarray,
+                 scenario: Scenario) -> np.ndarray:
     """Per-UE linear SINR for a per-BS beam assignment and power vector.
 
-    SINR_u = P_serv |h_serv^T f_serv|^2 /
-             (sum_{b != serv} P_b |h_b^T f_b|^2 + noise)
+    SINR_u = P_u |h_uu^T f_u|^2 / (P_{1-u} |h_{1-u,u}^T f_{1-u}|^2 + noise)
+
+    The code forms the interference as the UE's total received power minus its signal.
 
     ``state`` is a ChannelState or its channel vectors (..., L, U, M);
     powers (..., L) and beams (..., L, M) carry their episode axes.
@@ -346,7 +336,7 @@ def compute_sinr(state: ChannelState, topology: Topology, beam_vectors: np.ndarr
     rx = np.abs(np.einsum("...lum,...lm->...lu", vectors, np.asarray(beam_vectors)))
     rx *= rx
     rx *= powers_w[..., None]
-    signal = rx[..., topology.serving_map, np.arange(topology.num_ues)]
+    signal = rx[..., _UES, _UES]
     interference = np.add.reduce(rx, axis=-2)
     interference -= signal
     interference += scenario.noise_power_w

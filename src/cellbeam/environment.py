@@ -34,15 +34,11 @@ POWER_SPAN_DB = 40.0
 
 @dataclass(frozen=True)
 class SinrPolicy:
-    """Cutoff / target / cap rules applied to received SINR."""
+    """Cutoff / cap rules applied to received SINR."""
 
     gamma_cutoff_db: float = 4.0
     gamma0_db: float = 5.0
     m_antennas: int = 1
-
-    @property
-    def gamma_target_db(self) -> float:
-        return self.gamma0_db + 10.0 * math.log10(self.m_antennas)
 
     @cached_property    # effective_db reads it every frame
     def gamma_max_db(self) -> float:
@@ -96,7 +92,7 @@ class DownlinkEnv:
         if scenario.max_bs_power_dbm < self.power_floor_dbm:
             raise ConfigurationError("max_bs_power_w puts the power cap below the 0 dBm floor")
         self.scenario, self.m_antennas, self.horizon = scenario, int(m_antennas), int(horizon)
-        self.codebook = build_codebook(self.m_antennas)    # half-wavelength spacing
+        self.codebook = build_codebook(self.m_antennas)
         self.policy = SinrPolicy(gamma_cutoff_db, m_antennas=self.m_antennas)
         self._frames = self.channel_state = None
         self._done = True
@@ -172,8 +168,7 @@ class DownlinkEnv:
         angles, los = map(np.array, zip(*paths))
         self.channel_state = chan.draw_channels(
             self._frames, self.scenario, self.m_antennas,
-            chan.ChannelState(None, path_angles=angles, los=los),
-            self.codebook.spacing_in_wavelengths, normals)
+            chan.ChannelState(None, path_angles=angles, los=los), normals)
         # start both BSs 3 dB below the power cap, beams at index 0
         self._powers_dbm = np.full((b, 2), self.scenario.max_bs_power_dbm - 3.0)
         self._beams = np.zeros((b, 2), dtype=int)
@@ -210,7 +205,7 @@ class DownlinkEnv:
         fading = np.random.default_rng(chan_ss)
         paths = chan.draw_paths(fading, self.scenario, normals.shape[2:])
         normals[...] = fading.standard_normal(normals.shape)
-        return (chan.init_topology(self.scenario, 2, 1, topo_ss), paths,
+        return (chan.init_topology(self.scenario, topo_ss), paths,
                 np.random.default_rng(mob_ss).uniform(-chan.MAX_TURN_RAD, chan.MAX_TURN_RAD,
                                                       (self.horizon, 2)))
 
@@ -239,8 +234,7 @@ class DownlinkEnv:
         powers_w = np.array(list(map(chan.dbm_to_watts, self._powers_dbm.ravel().tolist()))
                             ).reshape(self._powers_dbm.shape)
         sinr_lin = chan.compute_sinr(chan.channel_vectors(self.channel_state, self._t),
-                                     self._frames, self.codebook.vectors[self._beams],
-                                     powers_w, self.scenario)
+                                     self.codebook.vectors[self._beams], powers_w, self.scenario)
         raw_db = np.full(sinr_lin.shape, -np.inf)
         np.log10(sinr_lin, out=raw_db, where=sinr_lin > 0.0)
         raw_db *= 10.0

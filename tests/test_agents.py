@@ -480,7 +480,7 @@ def test_ddpg_full_run_is_bit_reproducible():
 def test_hddpg_meta_reward_sums_window():
     env = make_env()
     hyper = small_hyper(meta_period=3, batch_size=1000, meta_batch_size=1000,
-                        controller_batch_size=1000)
+                        controller_batch_size=1000, replay_capacity=1000)
     agent = HddpgAgent(env, hyper, seed=0)
     s = env.reset(0)
     agent.begin_episode(s)
@@ -493,7 +493,7 @@ def test_hddpg_meta_reward_sums_window():
 def test_hddpg_meta_buffer_count_floor_t_over_c():
     env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=50, gamma_cutoff_db=-1e9)
     hyper = small_hyper(meta_period=3, batch_size=10_000, meta_batch_size=10_000,
-                        controller_batch_size=10_000)
+                        controller_batch_size=10_000, replay_capacity=10_000)
     agent = HddpgAgent(env, hyper, seed=1)
     log = agent.run_episode(env, seed=0, train=True)
     assert log.steps == 50
@@ -567,7 +567,14 @@ def test_hyperparams_validation():
                      ("noise_end_frac", -1.0), ("goal_penalty_weight", -0.5)):
         with pytest.raises(ConfigurationError, match=f"^{key} "):
             AgentHyperparams(**{key: bad})
-    edge = AgentHyperparams(q_lr=0.0, depth=0, replay_capacity=1, actor_weight_decay=0.0,
+    # a replay smaller than a batch never fills one, so its learner would never update
+    for key in ("batch_size", "meta_batch_size", "controller_batch_size"):
+        with pytest.raises(ConfigurationError, match="^replay_capacity must be >= 200$"):
+            AgentHyperparams(**{key: 200}, replay_capacity=199)
+    with pytest.raises(ConfigurationError, match="^replay_capacity must be >= 128$"):
+        AgentHyperparams(replay_capacity=100)
+    edge = AgentHyperparams(q_lr=0.0, depth=0, replay_capacity=1, batch_size=1,
+                            meta_batch_size=1, controller_batch_size=1, actor_weight_decay=0.0,
                             critic_weight_decay=0.0, noise_scale=0.0, train_geometry_cycle=0)
     assert (edge.q_lr, edge.depth, edge.replay_capacity) == (0.0, 0, 1)
     defaults = AgentHyperparams()
@@ -612,7 +619,7 @@ def _noisy_env():
 
 @pytest.mark.parametrize("name", ["dqn", "ddpg"])
 def test_replay_marks_only_aborts_terminal(name):
-    hyper = small_hyper(batch_size=10_000)
+    hyper = small_hyper(batch_size=10_000, replay_capacity=10_000)
     agent = make_agent(name, _quiet_env(), hyper, seed=0)
     agent.run_episode(_quiet_env(), seed=0, train=True)
     assert [t.terminated for t in agent.buffer.contents] == [False] * 5
@@ -671,7 +678,7 @@ def test_dqn_target_bootstraps_unless_terminated():
 def test_hddpg_pushes_an_aborted_window_as_terminal():
     env = _noisy_env()
     hyper = small_hyper(meta_period=3, batch_size=1000, meta_batch_size=1000,
-                        controller_batch_size=1000)
+                        controller_batch_size=1000, replay_capacity=1000)
     agent = HddpgAgent(env, hyper, seed=0)
     log = agent.run_episode(env, seed=0, train=True)
     assert log.steps == 1 and log.aborted

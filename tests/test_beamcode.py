@@ -17,14 +17,14 @@ def test_single_antenna_codebook():
 
 
 def test_entry_modulus_and_norms():
-    cb = bc.build_codebook(4, spacing_in_wavelengths=0.5)
+    cb = bc.build_codebook(4)
     assert np.allclose(np.abs(cb.vectors), 0.5, atol=1e-12)
     assert np.allclose(np.linalg.norm(cb.vectors, axis=1), 1.0, atol=1e-12)
 
 
 def test_two_antenna_hand_oracle():
     # theta_0 = 0, kd = pi: f_0 = (1/sqrt 2) [1, e^{j pi}]
-    cb = bc.build_codebook(2, spacing_in_wavelengths=0.5)
+    cb = bc.build_codebook(2)
     expected = np.array([1.0, np.exp(1j * math.pi)]) / math.sqrt(2.0)
     assert np.allclose(cb.vectors[0], expected, atol=1e-12)
 

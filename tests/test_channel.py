@@ -61,33 +61,28 @@ def test_scenario_validation():
 
 def test_init_topology_two_cells():
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, num_bs=2, ues_per_bs=1, seed=0)
-    assert np.allclose(np.linalg.norm(topo.bs_positions[0] - topo.bs_positions[1]), 525.0)
-    for ue in range(topo.num_ues):
-        assert topo.serving_distance_m(ue) <= sc.cell_radius_m
-        assert topo.serving_distance_m(ue) <= sc.cell_radius_m / 2.0
-
-
-def test_init_topology_rejects_bad_counts():
-    sc = chan.preset("sub6")
-    for num_bs in (1, 3, 7):
-        with pytest.raises(ConfigurationError, match="2 base stations"):
-            chan.init_topology(sc, num_bs=num_bs, ues_per_bs=1, seed=0)
-    with pytest.raises(ConfigurationError):
-        chan.init_topology(sc, num_bs=2, ues_per_bs=0, seed=0)
+    topo = chan.init_topology(sc, seed=0)
+    assert np.array_equal(topo.bs_positions, [[0.0, 0.0], [525.0, 0.0]])
+    # the drop's draw order feeds every result file, so its bits are pinned
+    assert np.array_equal(topo.ue_positions, [[135.06439398301941, 35.5606686132199],
+                                              [615.4070677851528, 9.422324740175247]])
+    assert np.array_equal(topo.ue_headings, [5.109927617709579, 5.735012432197602])
+    for ue in range(2):     # UE u is served by BS u
+        dist = np.linalg.norm(topo.ue_positions[ue] - topo.bs_positions[ue])
+        assert dist <= sc.cell_radius_m / 2.0 and dist == topo.serving_distance_m(ue)
 
 
 def test_init_topology_seeded_determinism():
     sc = chan.preset("sub6")
-    a = chan.init_topology(sc, 2, 1, seed=0)
-    b = chan.init_topology(sc, 2, 1, seed=0)
+    a = chan.init_topology(sc, seed=0)
+    b = chan.init_topology(sc, seed=0)
     assert np.array_equal(a.ue_positions, b.ue_positions)
     assert np.array_equal(a.ue_headings, b.ue_headings)
 
 
 def test_mobility_zero_speed_keeps_positions():
     sc = chan.preset("sub6", ue_speed_kmh=0.0)
-    topo = chan.init_topology(sc, 2, 1, seed=3)
+    topo = chan.init_topology(sc, seed=3)
     moved = chan.step_mobility(topo, sc, np.random.default_rng(0))
     assert np.array_equal(moved.ue_positions, topo.ue_positions)
 
@@ -95,7 +90,7 @@ def test_mobility_zero_speed_keeps_positions():
 def test_mobility_step_length():
     # 5 km/h over a 10 ms frame is 5000/3600*0.01 m
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=4)
+    topo = chan.init_topology(sc, seed=4)
     moved = chan.step_mobility(topo, sc, np.random.default_rng(0))
     hops = np.linalg.norm(moved.ue_positions - topo.ue_positions, axis=1)
     assert np.allclose(hops, 5000.0 / 3600.0 * 0.01, rtol=1e-9)
@@ -103,7 +98,7 @@ def test_mobility_step_length():
 
 def test_mobility_reflects_at_disc_boundary():
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=5)
+    topo = chan.init_topology(sc, seed=5)
     disc = sc.cell_radius_m / 2.0
     # put UE 0 on its boundary heading straight out
     topo.ue_positions[0] = topo.bs_positions[0] + np.array([disc, 0.0])
@@ -115,12 +110,12 @@ def test_mobility_reflects_at_disc_boundary():
 
 def test_mobility_never_leaves_disc():
     sc = chan.preset("sub6", ue_speed_kmh=500.0)  # exaggerate to stress the fold
-    topo = chan.init_topology(sc, 2, 1, seed=6)
+    topo = chan.init_topology(sc, seed=6)
     rng = np.random.default_rng(7)
     disc = sc.cell_radius_m / 2.0
     for _ in range(500):
         topo = chan.step_mobility(topo, sc, rng)
-        for ue in range(topo.num_ues):
+        for ue in range(2):
             assert topo.serving_distance_m(ue) <= disc + 1e-9
 
 
@@ -135,7 +130,7 @@ def test_doppler_correlation_values():
 
 def test_draw_channels_shapes_and_finiteness():
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=0)
+    topo = chan.init_topology(sc, seed=0)
     state = chan.new_channel_state(0)
     for _ in range(3):
         chan.draw_channels(topo, sc, 4, state)
@@ -146,7 +141,7 @@ def test_draw_channels_shapes_and_finiteness():
 def test_single_path_los_closed_form():
     # N_p=1, p_los=1, M=1: |h|^2 equals pathloss * antenna gain exactly
     sc = chan.preset("sub6", n_paths=1, p_los=1.0)
-    topo = chan.init_topology(sc, 2, 1, seed=0)
+    topo = chan.init_topology(sc, seed=0)
     state = chan.new_channel_state(1)
     chan.draw_channels(topo, sc, 1, state)
     dists = np.linalg.norm(
@@ -158,7 +153,7 @@ def test_single_path_los_closed_form():
 
 def test_draw_channels_seeded_determinism():
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=0)
+    topo = chan.init_topology(sc, seed=0)
     runs = []
     for _ in range(2):
         state = chan.new_channel_state(42)
@@ -171,7 +166,7 @@ def test_draw_channels_seeded_determinism():
 def test_channel_energy_scale():
     # ensemble mean of |h|^2 / (PL * G) is 1 within 5%
     sc = chan.preset("sub6", n_paths=4)
-    topo = chan.init_topology(sc, 2, 1, seed=0)
+    topo = chan.init_topology(sc, seed=0)
     dists = np.linalg.norm(
         topo.bs_positions[:, None, :] - topo.ue_positions[None, :, :], axis=2)
     gain = chan.db_to_linear(sc.tx_antenna_gain_dbi)
@@ -196,11 +191,11 @@ def test_pathloss_monotone_and_los_below_nlos():
 
 def _manual_sinr(vectors, beams, powers_w, serving, noise_w):
     """Direct complex-arithmetic SINR, loops only."""
-    num_bs, num_ue, _ = vectors.shape
+    n_bs, n_ue, _ = vectors.shape
     out = []
-    for u in range(num_ue):
+    for u in range(n_ue):
         rx = []
-        for b in range(num_bs):
+        for b in range(n_bs):
             dot = complex(0.0)
             for m in range(vectors.shape[2]):
                 dot += vectors[b, u, m] * beams[b, m]
@@ -213,73 +208,72 @@ def _manual_sinr(vectors, beams, powers_w, serving, noise_w):
 
 def _random_instance(rng, m):
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=int(rng.integers(2 ** 31)))
+    topo = chan.init_topology(sc, seed=int(rng.integers(2 ** 31)))
     state = chan.new_channel_state(int(rng.integers(2 ** 31)))
     chan.draw_channels(topo, sc, m, state)
     cb = build_codebook(m)
     beams = cb.vectors[rng.integers(0, m, size=2)]
     powers = rng.uniform(0.0, sc.max_bs_power_w, size=2)
-    return sc, topo, state, beams, powers
+    return sc, state, beams, powers
 
 
 def test_compute_sinr_matches_bruteforce_oracle():
     rng = np.random.default_rng(0)
     for _ in range(50):
         m = int(rng.integers(1, 5))
-        sc, topo, state, beams, powers = _random_instance(rng, m)
-        got = chan.compute_sinr(state, topo, beams, powers, sc)
-        want = _manual_sinr(state.vectors, beams, powers, topo.serving_map,
-                            sc.noise_power_w)
+        sc, state, beams, powers = _random_instance(rng, m)
+        got = chan.compute_sinr(state, beams, powers, sc)
+        want = _manual_sinr(state.vectors, beams, powers, (0, 1), sc.noise_power_w)
         assert np.allclose(got, want, rtol=1e-10)
 
 
 def test_compute_sinr_zero_power_gives_zero():
     rng = np.random.default_rng(1)
-    sc, topo, state, beams, _ = _random_instance(rng, 2)
-    got = chan.compute_sinr(state, topo, beams, np.array([0.0, 10.0]), sc)
+    sc, state, beams, _ = _random_instance(rng, 2)
+    got = chan.compute_sinr(state, beams, np.array([0.0, 10.0]), sc)
     assert got[0] == 0.0  # UE 0 served by BS 0 at zero power
 
 
 def test_compute_sinr_ratio_identity():
     # with zero interference and noise equal to the received power, SINR = 1
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=2)
+    topo = chan.init_topology(sc, seed=2)
     state = chan.new_channel_state(3)
     chan.draw_channels(topo, sc, 1, state)
     beams = build_codebook(1).vectors[[0, 0]]
     powers = np.array([1.0, 0.0])
     rx = powers[0] * abs(state.vectors[0, 0, 0] * beams[0, 0]) ** 2
     quiet = chan.Scenario(noise_power_dbm=chan.watts_to_dbm(rx))
-    got = chan.compute_sinr(state, topo, beams, powers, quiet)
+    got = chan.compute_sinr(state, beams, powers, quiet)
     assert got[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_compute_sinr_rejects_bad_powers():
     rng = np.random.default_rng(4)
-    sc, topo, state, beams, _ = _random_instance(rng, 1)
+    sc, state, beams, _ = _random_instance(rng, 1)
     with pytest.raises(ContractViolation):
-        chan.compute_sinr(state, topo, beams, np.array([-1.0, 1.0]), sc)
+        chan.compute_sinr(state, beams, np.array([-1.0, 1.0]), sc)
     with pytest.raises(ContractViolation):
-        chan.compute_sinr(state, topo, beams, np.array([41.0, 1.0]), sc)
+        chan.compute_sinr(state, beams, np.array([41.0, 1.0]), sc)
 
 
 def test_sinr_monotonicity_in_powers():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        sc, topo, state, beams, powers = _random_instance(rng, 2)
-        base = chan.compute_sinr(state, topo, beams, powers, sc)
+        sc, state, beams, powers = _random_instance(rng, 2)
+        base = chan.compute_sinr(state, beams, powers, sc)
         served_up = powers.copy()
         served_up[0] = min(powers[0] * 1.5 + 0.1, sc.max_bs_power_w)
-        more = chan.compute_sinr(state, topo, beams, served_up, sc)
+        more = chan.compute_sinr(state, beams, served_up, sc)
         assert more[0] >= base[0] - 1e-15  # UE 0: serving power up
         assert more[1] <= base[1] + 1e-15  # UE 1: interference up
 
 
 # -- per-episode steering cache ---------------------------------------------
 
-def _reference_vectors(topo, sc, m, state, spacing):
+def _reference_vectors(topo, sc, m, state):
     """Channel vectors with the steering rebuilt from the path angles."""
-    steer = steering_matrix(state.path_angles, m, spacing)
+    steer = steering_matrix(state.path_angles, m)
     dists = np.linalg.norm(
         topo.bs_positions[:, None, :] - topo.ue_positions[None, :, :], axis=2)
     pl_lin = chan.db_to_linear(-chan.pathloss_db(dists, sc.carrier_freq_hz, sc.p_los))
@@ -288,28 +282,27 @@ def _reference_vectors(topo, sc, m, state, spacing):
 
 
 @given(m=st.sampled_from(VALID_ANTENNA_COUNTS),
-       spacing=st.floats(0.05, 2.0),
        seed=st.integers(0, 2 ** 32 - 1),
        frames=st.integers(1, 30))
-def test_cached_steering_matches_per_frame_rebuild(m, spacing, seed, frames):
+def test_cached_steering_matches_per_frame_rebuild(m, seed, frames):
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=seed)
+    topo = chan.init_topology(sc, seed=seed)
     mobility = np.random.default_rng(seed)
     state = chan.new_channel_state(seed)
     for _ in range(frames):
-        chan.draw_channels(topo, sc, m, state, spacing)
-        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, m, state, spacing))
+        chan.draw_channels(topo, sc, m, state)
+        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, m, state))
         topo = chan.step_mobility(topo, sc, mobility)
 
 
 def test_reused_state_keeps_the_array_of_its_first_draw():
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=0)
+    topo = chan.init_topology(sc, seed=0)
     state = chan.new_channel_state(0)
     for _ in range(3):
         chan.draw_channels(topo, sc, 4, state)
         assert state.steering.shape == (2, 2, sc.n_paths, 4)
-        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, 4, state, 0.5))
+        assert np.array_equal(state.vectors, _reference_vectors(topo, sc, 4, state))
     with pytest.raises(ContractViolation, match="antenna count"):
         chan.draw_channels(topo, sc, 8, state)
 
@@ -337,40 +330,39 @@ sinr_instances = st.tuples(st.sampled_from(VALID_ANTENNA_COUNTS),
 
 
 def _sinr_instance(m, seed, fractions):
-    sc, topo, state, beams, _ = _random_instance(np.random.default_rng(seed), m)
-    return sc, topo, state, beams, sc.max_bs_power_w * np.array(fractions)
+    sc, state, beams, _ = _random_instance(np.random.default_rng(seed), m)
+    return sc, state, beams, sc.max_bs_power_w * np.array(fractions)
 
 
 @given(instance=sinr_instances, factor=st.floats(1e-3, 1e3))
 def test_sinr_invariant_to_common_power_and_noise_scaling(instance, factor):
-    sc, topo, state, beams, powers = _sinr_instance(*instance)
-    base = chan.compute_sinr(state, topo, beams, powers, sc)
+    sc, state, beams, powers = _sinr_instance(*instance)
+    base = chan.compute_sinr(state, beams, powers, sc)
     scaled_sc = dataclasses.replace(
         sc, max_bs_power_w=sc.max_bs_power_w * factor,
         noise_power_dbm=float(chan.watts_to_dbm(sc.noise_power_w * factor)))
-    scaled = chan.compute_sinr(state, topo, beams, powers * factor, scaled_sc)
+    scaled = chan.compute_sinr(state, beams, powers * factor, scaled_sc)
     assert np.all(np.abs(scaled - base) <= _rounding_bound(base, rtol=1e-12))
 
 
 @given(instance=sinr_instances, ue=st.integers(0, 1), raise_frac=st.floats(0.0, 1.0))
 def test_raising_serving_power_never_lowers_sinr(instance, ue, raise_frac):
-    sc, topo, state, beams, powers = _sinr_instance(*instance)
-    base = chan.compute_sinr(state, topo, beams, powers, sc)
-    bs = topo.serving_map[ue]
+    sc, state, beams, powers = _sinr_instance(*instance)
+    base = chan.compute_sinr(state, beams, powers, sc)
     raised = powers.copy()
-    raised[bs] += raise_frac * (sc.max_bs_power_w - powers[bs])
-    more = chan.compute_sinr(state, topo, beams, raised, sc)
+    raised[ue] += raise_frac * (sc.max_bs_power_w - powers[ue])
+    more = chan.compute_sinr(state, beams, raised, sc)
     assert more[ue] >= base[ue] - _rounding_bound(base[ue])
 
 
 @given(instance=sinr_instances, ue=st.integers(0, 1), raise_frac=st.floats(0.0, 1.0))
 def test_raising_other_bs_power_never_raises_sinr(instance, ue, raise_frac):
-    sc, topo, state, beams, powers = _sinr_instance(*instance)
-    base = chan.compute_sinr(state, topo, beams, powers, sc)
-    other = 1 - topo.serving_map[ue]
+    sc, state, beams, powers = _sinr_instance(*instance)
+    base = chan.compute_sinr(state, beams, powers, sc)
+    other = 1 - ue
     raised = powers.copy()
     raised[other] += raise_frac * (sc.max_bs_power_w - powers[other])
-    more = chan.compute_sinr(state, topo, beams, raised, sc)
+    more = chan.compute_sinr(state, beams, raised, sc)
     # the signal is unchanged and total - signal cannot fall, so this is exact
     assert more[ue] <= base[ue]
 
@@ -381,7 +373,7 @@ def test_raising_other_bs_power_never_raises_sinr(instance, ue, raise_frac):
        scenario=st.sampled_from((dict(), dict(ue_speed_kmh=30000.0), dict(cell_radius_m=0.3))))
 def test_walking_drawn_turns_equals_stepping_the_generator(seed, frames, scenario):
     sc = chan.preset("sub6", **scenario)
-    start = chan.init_topology(sc, 2, 1, seed=seed)
+    start = chan.init_topology(sc, seed=seed)
     mobility, topo, steps = np.random.default_rng(seed), start, []
     for _ in range(frames):
         topo = chan.step_mobility(topo, sc, mobility)
@@ -399,7 +391,7 @@ def test_walking_drawn_turns_equals_stepping_the_generator(seed, frames, scenari
        frames=st.integers(1, 20))
 def test_fading_drawn_normals_equals_drawing_frame_by_frame(m, seed, frames):
     sc = chan.preset("sub6")
-    topo = chan.init_topology(sc, 2, 1, seed=seed)
+    topo = chan.init_topology(sc, seed=seed)
     state, want = chan.new_channel_state(seed), []
     for _ in range(frames):
         want.append(chan.draw_channels(topo, sc, m, state).vectors)

@@ -479,6 +479,8 @@ def _configs(draw):
         sections.setdefault(section, {})[attr] = value
     hyper = sections["hyper"]
     hyper["eps_end"], hyper["eps_start"] = sorted((hyper["eps_end"], hyper["eps_start"]))
+    hyper["replay_capacity"] = max(hyper["replay_capacity"], hyper["batch_size"],
+                                   hyper["meta_batch_size"], hyper["controller_batch_size"])
     defaults = harness.RunConfig()
     return harness.RunConfig(**{name: type(getattr(defaults, name))(**values)
                                 for name, values in sections.items()})
@@ -576,7 +578,9 @@ def test_cli_bad_training_values_exit_2_and_write_nothing(tmp_path, capsys):
                      ("cell_radius_m", "nan"), ("noise_scale", "inf"), ("ue_speed_kmh", "inf"),
                      ("noise_power_dbm", "inf"), ("noise_power_dbm", "-inf"),
                      # a power cap (-3 dBm) below the 0 dBm floor: an empty action range
-                     ("max_bs_power_w", "0.0005")):
+                     ("max_bs_power_w", "0.0005"),
+                     # below the default batch size of 128: the learners would never update
+                     ("replay_capacity", "100")):
         path = tmp_path / f"{key}.cfg"
         path.write_text(f"{key}={bad}\n")
         out = tmp_path / key

@@ -35,7 +35,7 @@ class PositionYardstick(BaseAgent):
 
     def __init__(self, env, top_dbm: float):
         self.scenario, self.top_dbm = env.scenario, float(top_dbm)
-        self.bs_positions = init_topology(env.scenario, 2, 1, 0).bs_positions    # (BS, xy)
+        self.bs_positions = init_topology(env.scenario, 0).bs_positions    # (BS, xy)
 
     def act(self, state: np.ndarray, explore: bool = False) -> np.ndarray:
         state = np.asarray(state)
