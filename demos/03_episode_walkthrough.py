@@ -17,8 +17,7 @@ labels = ["ue_l x", "ue_l y", "ue_b x", "ue_b y",
 for name, value in zip(labels, state):
     print(f"  {name:8s} = {value:9.3f}")
 print(f"action bounds: low {env.action_low}  high {env.action_high}")
-print(f"SINR policy: cutoff {env.policy.gamma_cutoff_db} dB, "
-      f"cap {env.policy.gamma_max_db:.0f} dB")
+print(f"SINR band: cutoff {env.gamma_cutoff_db} dB, cap {env.gamma_max_db:.0f} dB")
 
 print("\n=== a hand-driven episode (serving power up, interferer down) ===")
 done = False
@@ -30,7 +29,7 @@ while not done:
     raw = out.info["sinr_db"].round(2)
     eff = out.info["eff_sinr_db"].round(2)
     print(f"  t={t:2d} raw SINR {raw} dB  effective {eff} dB  "
-          f"reward {out.reward:6.2f}  beams {out.info['beam_indices']}"
+          f"reward {out.reward:6.2f}  beams {out.next_state[6:].astype(int)}"
           f"{'  <- aborted' if out.info['aborted'] else ''}")
     done = out.done
 

@@ -159,14 +159,12 @@ class EpisodeLog:
     """Everything one episode produced, for logging and metrics."""
 
     seed: int
-    states: np.ndarray        # (T + 1, 8)
+    states: np.ndarray        # (T + 1, 8); row t + 1 holds frame t's applied powers and beams
     actions: np.ndarray       # (T, 4)
     rewards: np.ndarray       # (T,)
     losses: np.ndarray        # (T,) NaN when no training happened
     eff_sinr_db: np.ndarray   # (T, n_ue)
-    powers_dbm: np.ndarray    # (T, n_bs)
     norm_power: np.ndarray    # (T,) mean applied power / max power
-    beam_indices: np.ndarray  # (T, n_bs)
     aborted: bool
 
     @property
@@ -188,9 +186,7 @@ class EpisodeLog:
 
 # per-frame fields of an EpisodeLog: (trailing shape, dtype); states hold one frame more
 _FRAME_FIELDS = {"states": ((8,), float), "actions": ((4,), float), "rewards": ((), float),
-                 "losses": ((), float), "eff_sinr_db": ((2,), float),
-                 "powers_dbm": ((2,), float), "norm_power": ((), float),
-                 "beam_indices": ((2,), int)}
+                 "losses": ((), float), "eff_sinr_db": ((2,), float), "norm_power": ((), float)}
 
 
 class _Frames:
@@ -219,9 +215,7 @@ class _Frames:
                                 / self.max_power_w)
         for name, value in (("actions", actions), ("rewards", outcome.reward),
                             ("losses", np.nan if loss is None else loss),
-                            ("eff_sinr_db", info["eff_sinr_db"]),
-                            ("powers_dbm", info["powers_dbm"]), ("norm_power", norm_power),
-                            ("beam_indices", info["beam_indices"])):
+                            ("eff_sinr_db", info["eff_sinr_db"]), ("norm_power", norm_power)):
             self.arrays[name][:, t] = value
         self.t = t = t + 1
         ended = np.reshape(outcome.done, -1)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -30,23 +29,12 @@ ACTION_SIZE = 4
 BLOCK_BYTES = 1 << 21
 # learners' power range over the floor, cut at the cap; sub6's stops below it (CHANGES.md line 21)
 POWER_SPAN_DB = 40.0
+GAMMA0_DB = 5.0     # the SINR cap at one antenna; the array gain raises it
 
 
-@dataclass(frozen=True)
-class SinrPolicy:
-    """Cutoff / cap rules applied to received SINR."""
-
-    gamma_cutoff_db: float = 4.0
-    gamma0_db: float = 5.0
-    m_antennas: int = 1
-
-    @cached_property    # effective_db reads it every frame
-    def gamma_max_db(self) -> float:
-        return self.gamma0_db + 10.0 * math.log2(self.m_antennas)
-
-    def effective_db(self, raw_db) -> np.ndarray:
-        """Clamp raw SINR (dB) into the reportable band [0, gamma_max]."""
-        return np.minimum(np.maximum(raw_db, 0.0), self.gamma_max_db)
+def gamma_max_db(m_antennas: int) -> float:
+    """The cap (dB) of the effective SINR with an M-antenna array."""
+    return GAMMA0_DB + 10.0 * math.log2(m_antennas)
 
 
 @dataclass
@@ -93,7 +81,7 @@ class DownlinkEnv:
             raise ConfigurationError("max_bs_power_w puts the power cap below the 0 dBm floor")
         self.scenario, self.m_antennas, self.horizon = scenario, int(m_antennas), int(horizon)
         self.codebook = build_codebook(self.m_antennas)
-        self.policy = SinrPolicy(gamma_cutoff_db, m_antennas=self.m_antennas)
+        self.gamma_cutoff_db, self.gamma_max_db = gamma_cutoff_db, gamma_max_db(self.m_antennas)
         self._frames = self.channel_state = None
         self._done = True
 
@@ -238,12 +226,11 @@ class DownlinkEnv:
         raw_db = np.full(sinr_lin.shape, -np.inf)
         np.log10(sinr_lin, out=raw_db, where=sinr_lin > 0.0)
         raw_db *= 10.0
-        eff_db = self.policy.effective_db(raw_db)
+        eff_db = np.minimum(np.maximum(raw_db, 0.0), self.gamma_max_db)
 
-        aborted = np.minimum.reduce(raw_db, axis=-1) < self.policy.gamma_cutoff_db
+        aborted = np.minimum.reduce(raw_db, axis=-1) < self.gamma_cutoff_db
         info = dict(sinr_linear=sinr_lin, sinr_db=raw_db, eff_sinr_db=eff_db,
-                    powers_dbm=self._powers_dbm, powers_w=powers_w,
-                    beam_indices=self._beams, aborted=aborted, step=self._t)
+                    powers_w=powers_w, aborted=aborted)
         return StepOutcome(next_state=self._observe(), reward=np.add.reduce(eff_db, axis=-1),
                            terminated=aborted, truncated=~aborted & (self._t >= self.horizon),
                            info=info)
@@ -256,8 +243,7 @@ class DownlinkEnv:
             raise ContractViolation(f"action must have {ACTION_SIZE} entries")
         out = self.advance(np.asarray(action)[None])
         info = out.info     # the block of one becomes its one row, in place
-        for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_dbm", "powers_w",
-                    "beam_indices"):
+        for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_w"):
             info[key] = info[key][0]
         info["aborted"] = out.terminated = bool(out.terminated[0])
         out.next_state, out.reward = out.next_state[0], float(out.reward[0])

@@ -24,7 +24,7 @@ import numpy as np
 from . import metrics
 from .agents import ALGORITHMS, AgentHyperparams, FpaAgent, make_agent
 from .channel import SCENARIO_PRESETS, Scenario, preset
-from .environment import DownlinkEnv, SinrPolicy
+from .environment import DownlinkEnv, gamma_max_db
 from .errors import CellbeamError, ConfigurationError, reject_nonfinite
 
 ENV_VAR_PREFIX = "CELLBEAM_"
@@ -355,7 +355,7 @@ def run_plan(cfg: RunConfig):
 
     summaries, sample_sets = [], []
     fpa_evals = {}      # (M, seed) -> evaluation logs of FPA, for this plan only
-    max_cap = max(SinrPolicy(m_antennas=m).gamma_max_db for m in cfg.plan.antenna_counts)
+    max_cap = max(gamma_max_db(m) for m in cfg.plan.antenna_counts)
     grid = np.arange(-1.0, math.ceil(max_cap) + 1.5, 0.5)
 
     for algo in cfg.plan.algorithms:

@@ -189,7 +189,8 @@ def write_episode_csv(path, logs) -> None:
     _write_csv(path, ("episode", "steps", "episode_return", "mean_loss", "aborted",
                       "avg_power_dbm", "avg_norm_power", "mean_eff_sinr_db"),
                [(i, log.steps, log.episode_return, log.mean_loss, log.aborted,
-                 log.powers_dbm.mean(), log.norm_power.mean(), log.eff_sinr_db.mean())
+                 log.states[1:, 4:6].copy().mean(),  # a strided view's mean sums in another order
+                 log.norm_power.mean(), log.eff_sinr_db.mean())
                 for i, log in enumerate(logs)])
 
 

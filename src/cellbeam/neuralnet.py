@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ContractViolation, UsageError
 
+MEAN_DECAY = 0.9        # Adam's decay rate of the gradient's running mean
+SQUARE_DECAY = 0.999    # and of its running square
+ADAM_EPS = 1e-8         # added to the root of the square before dividing
+
 
 def _layer_views(widths, flat: np.ndarray):
     """Per-layer weight and bias views into one flat vector.
@@ -192,10 +196,9 @@ class AdamOptimizer:
     so the heads cannot saturate beyond recovery.
     """
 
-    def __init__(self, net: Mlp, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.0):
-        self.net, self.lr, self.eps, self.weight_decay = net, lr, eps, weight_decay
-        self.beta1, self.beta2, self.t = beta1, beta2, 0
+    def __init__(self, net: Mlp, lr: float = 1e-4, weight_decay: float = 0.0):
+        self.net, self.lr, self.weight_decay = net, lr, weight_decay
+        self.t = 0
         self._m = np.zeros_like(net.params)
         self._v = np.zeros_like(net.params)
         self._scratch = np.empty((2,) + net.params.shape)
@@ -206,16 +209,16 @@ class AdamOptimizer:
         self.t += 1
         p, g, m, v = self.net.params, grads.flat, self._m, self._v
         a, b = self._scratch     # the textbook expression's operations, in its order
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+        c1 = 1.0 - MEAN_DECAY ** self.t
+        c2 = 1.0 - SQUARE_DECAY ** self.t
+        m *= MEAN_DECAY
+        m += np.multiply(1.0 - MEAN_DECAY, g, out=a)
+        v *= SQUARE_DECAY
+        v += np.multiply(np.multiply(1.0 - SQUARE_DECAY, g, out=a), g, out=a)
         if self.weight_decay:
             p *= 1.0 - self.lr * self.weight_decay
         step = np.multiply(np.divide(m, c1, out=a), self.lr, out=a)
-        p -= np.divide(step, np.add(np.sqrt(np.divide(v, c2, out=b), out=b), self.eps, out=b),
+        p -= np.divide(step, np.add(np.sqrt(np.divide(v, c2, out=b), out=b), ADAM_EPS, out=b),
                        out=a)
         if not np.isfinite(p).all():
             raise ContractViolation("network parameters became non-finite")

@@ -21,7 +21,7 @@ from cellbeam.agents import (AgentHyperparams, DdpgAgent, HddpgAgent, fpa_power,
 from cellbeam.beamcode import build_codebook, steering_matrix
 from cellbeam.channel import (compute_sinr, draw_channels, init_topology,
                               new_channel_state, preset)
-from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
+from cellbeam.environment import DownlinkEnv, gamma_max_db, hierarchical_reward
 from cellbeam.neuralnet import Mlp, soft_update
 
 
@@ -167,7 +167,7 @@ def test_criterion_4_closed_forms():
     assert abs(fpa_power(preset("sub6"), 100, 25) - 40.0) < 1e-9
 
     # effective SINR cap for gamma0 = 5 dB, M = 4
-    assert SinrPolicy(gamma0_db=5.0, m_antennas=4).gamma_max_db == 25.0
+    assert gamma_max_db(4) == 25.0
 
     # meta reward sums the window's controller rewards exactly
     env = DownlinkEnv(preset("sub6"), m_antennas=1, horizon=10)

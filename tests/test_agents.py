@@ -54,11 +54,12 @@ def test_fpa_agent_is_static():
     env = make_env()
     agent = FpaAgent(env)
     log = agent.run_episode(env, seed=0, train=True)
-    assert np.all(log.powers_dbm == log.powers_dbm[0, 0])
-    assert np.all(log.beam_indices == 0)
+    powers, beams = log.states[1:, 4:6], log.states[1:, 6:]
+    assert np.all(powers == powers[0, 0])
+    assert np.all(beams == 0)
     # channel-independent: a different episode requests the same power
     log2 = agent.run_episode(env, seed=1, train=True)
-    assert log2.powers_dbm[0, 0] == log.powers_dbm[0, 0]
+    assert log2.states[1, 4] == powers[0, 0]
 
 
 # -- replay buffer -------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from cellbeam import channel as chan
 from cellbeam import preset
 from cellbeam.agents import FpaAgent
 from cellbeam.channel import channel_vectors
-from cellbeam.environment import DownlinkEnv, SinrPolicy, hierarchical_reward
+from cellbeam.environment import GAMMA0_DB, DownlinkEnv, gamma_max_db, hierarchical_reward
 from cellbeam.errors import ContractViolation, UsageError
 from cellbeam.harness import VALID_ANTENNA_COUNTS
 
@@ -37,24 +39,30 @@ def test_reset_initial_controls():
 
 
 def test_sinr_policy_formulas():
-    pol = SinrPolicy(gamma_cutoff_db=4.0, gamma0_db=5.0, m_antennas=4)
-    assert pol.gamma_max_db == pytest.approx(25.0)
-    assert pol.gamma_cutoff_db == 4.0
+    assert GAMMA0_DB == 5.0 and gamma_max_db(1) == GAMMA0_DB
+    assert gamma_max_db(4) == 25.0
+    for m in VALID_ANTENNA_COUNTS:
+        assert gamma_max_db(m) == GAMMA0_DB + 10.0 * math.log2(m)
 
 
 def test_env_builds_its_policy_from_the_cutoff_and_its_antenna_count():
     for m in VALID_ANTENNA_COUNTS:
         for cutoff in (-1e9, 3.5, 4.0):
             env = DownlinkEnv(preset("sub6"), m_antennas=m, gamma_cutoff_db=cutoff)
-            assert env.policy == SinrPolicy(cutoff, m_antennas=m)
+            assert env.gamma_cutoff_db == cutoff
+            assert env.gamma_max_db == gamma_max_db(m) == 5.0 + 10.0 * math.log2(m)
 
 
 def test_effective_sinr_caps_and_floors():
-    pol = SinrPolicy(m_antennas=4)
-    raw = np.array([10.0, 8.0, 40.0, -3.0])
-    eff = pol.effective_db(raw)
-    assert np.array_equal(eff, [10.0, 8.0, 25.0, 0.0])
-    assert eff[:2].sum() == 18.0  # reward contribution of two served UEs
+    # quiet noise, a loud BS 0 and a silent BS 1: UE 0 sits above the cap, UE 1 below 0 dB
+    env = DownlinkEnv(preset("sub6", noise_power_dbm=-200.0), m_antennas=4, horizon=5,
+                      gamma_cutoff_db=-1e9)
+    env.start([6, 7])
+    out = env.advance(np.array([[46.0, 0.0, 0.0, 0.0]] * 2))
+    raw, eff = out.info["sinr_db"], out.info["eff_sinr_db"]
+    assert np.all(raw[:, 0] > env.gamma_max_db) and np.all(raw[:, 1] < 0.0)
+    assert np.all(eff[:, 0] == env.gamma_max_db) and np.all(eff[:, 1] == 0.0)
+    assert np.array_equal(out.reward, [25.0, 25.0]) and not out.terminated.any()
 
 
 def test_apply_action_clamps_power():
@@ -87,7 +95,7 @@ def test_step_reward_matches_info_exactly():
     assert out.reward == out.info["eff_sinr_db"].sum()
     assert out.info["eff_sinr_db"].shape == (2,)
     assert np.all(out.info["eff_sinr_db"] >= 0.0)
-    assert np.all(out.info["eff_sinr_db"] <= env.policy.gamma_max_db)
+    assert np.all(out.info["eff_sinr_db"] <= env.gamma_max_db)
     del state
 
 
@@ -106,7 +114,7 @@ def test_abort_on_low_sinr():
     env.reset(3)
     out = env.step(np.array([40.0, 40.0, 0.0, 0.0]))
     assert out.info["aborted"] and out.done
-    assert np.all(out.info["sinr_db"] < env.policy.gamma_cutoff_db)
+    assert np.all(out.info["sinr_db"] < env.gamma_cutoff_db)
 
 
 def test_no_abort_when_cutoff_disabled():
@@ -124,11 +132,12 @@ def test_no_abort_when_cutoff_disabled():
 def test_termination_rule_matches_cutoff():
     env = make_env(horizon=50)
     env.reset(5)
-    done = False
+    done, steps = False, 0
     while not done:
         out = env.step(np.array([35.0, 35.0, 0.0, 0.0]))
-        below = np.any(out.info["sinr_db"] < env.policy.gamma_cutoff_db)
-        if out.info["step"] < 50:
+        steps += 1
+        below = np.any(out.info["sinr_db"] < env.gamma_cutoff_db)
+        if steps < 50:
             assert out.done == below
         done = out.done
 
@@ -266,8 +275,26 @@ def test_block_frames_equal_one_episode_steps_and_step_refuses_a_block():
             one = env.step(actions[b])
             assert np.array_equal(one.next_state, out.next_state[b])
             assert one.reward == out.reward[b] and one.terminated == out.terminated[b]
-            for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_w", "beam_indices"):
+            for key in ("sinr_linear", "sinr_db", "eff_sinr_db", "powers_w"):
                 assert np.array_equal(one.info[key], out.info[key][b]), key
+
+
+def test_next_state_carries_the_applied_controls():
+    env = make_env(m_antennas=8, horizon=4, gamma_cutoff_db=-1e9)
+    actions = np.array([[99.0, -5.0, 7.5, 0.2], [12.345, 30.0, -3.0, 6.999],
+                        [0.5, 46.02, 3.0, 9.0]])
+    env.start([2, 9, 4])
+    for block in (actions, actions[::-1]):
+        powers, beams = env.apply_action(block)
+        out = env.advance(block)
+        assert out.next_state[:, 4:6].tobytes() == powers.tobytes()
+        assert out.next_state[:, 6:].tobytes() == beams.astype(float).tobytes()
+    env.reset(5)
+    for action in actions:
+        powers, beams = env.apply_action(action)
+        out = env.step(action)
+        assert out.next_state[4:6].tobytes() == powers.tobytes()
+        assert out.next_state[6:].tobytes() == beams.astype(float).tobytes()
 
 
 def test_serving_distance_on_a_started_block_is_one_per_episode():
@@ -330,7 +357,7 @@ def _reference_episode(env, seed, topology_seed, actions):
         sinr = chan.compute_sinr(state, env.codebook.vectors[beams], powers_w, sc)
         raw_db = np.where(sinr > 0.0, 10.0 * np.log10(np.where(sinr > 0.0, sinr, 1.0)), -np.inf)
         frames.append((topo.ue_positions, state.vectors, sinr,
-                       env.policy.effective_db(raw_db).sum()))
+                       np.minimum(np.maximum(raw_db, 0.0), env.gamma_max_db).sum()))
     return frames
 
 
@@ -396,7 +423,7 @@ def test_advance_converts_each_applied_power_like_dbm_to_watts():
     for requested in (np.full((3, 2), floor), np.full((3, 2), cap), fresh[0], fresh[1], fresh[0],
                       np.array([[cap + 9.0, floor - 9.0]] * 3), fresh[2], fresh[1]):
         out = env.advance(np.concatenate([requested, np.zeros((3, 2))], axis=1))
-        want = [chan.dbm_to_watts(p) for p in out.info["powers_dbm"].flat]
+        want = [chan.dbm_to_watts(p) for p in out.next_state[:, 4:6].flat]
         assert out.info["powers_w"].shape == (3, 2)
         assert out.info["powers_w"].ravel().tobytes() == np.array(want).tobytes()
 

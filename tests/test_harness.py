@@ -31,7 +31,7 @@ def test_parse_config_empty_file_gives_table_defaults(tmp_path):
     assert (h.meta_batch_size, h.controller_batch_size) == (64, 64)
     assert cfg.plan.scenario == "sub6"
     assert cfg.env.gamma_cutoff_db == 4.0
-    assert harness.build_env(cfg, 4).policy.gamma_max_db == 25.0
+    assert harness.build_env(cfg, 4).gamma_max_db == 25.0
 
 
 def test_parse_config_none_path_gives_defaults():
@@ -222,7 +222,7 @@ def test_env_settings_keys_parse(tmp_path):
     assert cfg.env.gamma_cutoff_db == 3.5
     env = harness.build_env(cfg, 4)
     assert env.horizon == 25
-    assert env.policy.gamma_cutoff_db == 3.5
+    assert env.gamma_cutoff_db == 3.5
 
 
 def test_learners_power_range_stops_at_the_cap():

@@ -13,8 +13,7 @@ from cellbeam.harness import VALID_ANTENNA_COUNTS
 
 # learners train a few episodes first, then act on their learned policy
 AGENTS = ("fpa", "ddpg", "dqn", "hddpg", "qlearning")
-FIELDS = ("states", "actions", "rewards", "losses", "eff_sinr_db", "powers_dbm",
-          "norm_power", "beam_indices")
+FIELDS = ("states", "actions", "rewards", "losses", "eff_sinr_db", "norm_power")
 
 
 def _env(m, horizon, cutoff_db):
