@@ -158,7 +158,6 @@ def discrete_action_table(power_step_db=(1.0, 3.0), codebook_size: int = 2) -> l
 class EpisodeLog:
     """Everything one episode produced, for logging and metrics."""
 
-    seed: int
     states: np.ndarray        # (T + 1, 8); row t + 1 holds frame t's applied powers and beams
     actions: np.ndarray       # (T, 4)
     rewards: np.ndarray       # (T,)
@@ -196,9 +195,9 @@ class _Frames:
     cut out of its row as soon as it ends, and the row leaves the arrays.
     """
 
-    def __init__(self, env, seeds, states: np.ndarray):
+    def __init__(self, env, states: np.ndarray):
         self.max_power_w, self.t = env.scenario.max_bs_power_w, 0
-        self.seeds, self.ids = list(seeds), np.arange(len(states))
+        self.ids = np.arange(len(states))
         self.arrays = {name: np.empty((len(states), env.horizon + 1) + shape, dtype)
                        for name, (shape, dtype) in _FRAME_FIELDS.items()}
         self.arrays["states"][:, 0] = states
@@ -223,7 +222,7 @@ class _Frames:
             aborted = np.reshape(outcome.terminated, -1)
             for row in np.flatnonzero(ended):
                 self.logs[self.ids[row]] = EpisodeLog(
-                    seed=self.seeds[self.ids[row]], aborted=bool(aborted[row]),
+                    aborted=bool(aborted[row]),
                     **{name: array[row, :t + (name == "states")].copy()
                        for name, array in self.arrays.items()})
             self.ids = self.ids[~ended]
@@ -268,7 +267,7 @@ class BaseAgent:
         """Roll one episode, training after every step when train=True."""
         state = env.reset(seed, topology_seed)
         self.begin_episode(state)
-        frames = _Frames(env, [seed], state[None])
+        frames = _Frames(env, state[None])
         while frames.ids.size:
             action = self.act(state, explore=train)
             outcome = env.step(action)
@@ -292,7 +291,7 @@ class BaseAgent:
         logs = []
         for i in range(0, len(seeds), size):
             states = env.start(seeds[i:i + size], drops[i:i + size])
-            frames = _Frames(env, seeds[i:i + size], states)
+            frames = _Frames(env, states)
             while frames.ids.size:
                 actions = self.act(states, explore=False)
                 outcome = env.advance(actions)

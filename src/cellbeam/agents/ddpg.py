@@ -17,25 +17,23 @@ from .common import FINAL_LAYER_SCALE, ActionScaler, AgentHyperparams, ReplayLea
 
 
 def actor_policy_gradient(critic: Mlp, actor: Mlp, states_norm: np.ndarray,
-                          scaler: ActionScaler | None = None) -> GradientSet:
+                          scaler: ActionScaler) -> GradientSet:
     """Gradient of the batch-mean critic value with respect to actor parameters.
 
     Implements the sampled deterministic policy gradient: the critic's
     input gradient at (s, mu(s)) is chained through the actor.  Returned
-    with a minus sign so a descent-style optimizer ascends Q.  With a
-    scaler, the critic sees mu(s) pinned to the applicable actions, and
-    the pinned dimensions pass no gradient back to the actor.
+    with a minus sign so a descent-style optimizer ascends Q.  The critic
+    sees mu(s) pinned to the scaler's applicable actions, and the pinned
+    dimensions pass no gradient back to the actor.
     """
     batch = states_norm.shape[0]
     actions = actor.forward(states_norm)
-    if scaler is not None:
-        actions = scaler.applicable(actions)
+    actions = scaler.applicable(actions)
     critic.forward(np.concatenate([states_norm, actions], axis=1))
     ones = np.ones((batch, 1))
     dq_dinput = critic.input_gradient(ones / batch)
     dq_daction = dq_dinput[:, states_norm.shape[1]:]
-    if scaler is not None:
-        dq_daction = np.where(scaler.fixed, 0.0, dq_daction)
+    dq_daction = np.where(scaler.fixed, 0.0, dq_daction)
     return actor.backward(-dq_daction)
 
 

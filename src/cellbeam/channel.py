@@ -231,7 +231,6 @@ class ChannelState:
     path_gains: np.ndarray | None = None    # (..., L, U, P) complex
     amplitude: np.ndarray | None = None     # (..., L, U) sqrt(PL_lin * G_lin / N_p)
     los: np.ndarray | None = None           # (..., L, U) bool
-    rho: float = field(default=0.0)
     steering: np.ndarray | None = field(default=None, repr=False)  # (..., L, U, P, M) complex
 
 
@@ -284,13 +283,13 @@ def draw_channels(topology: Topology, scenario: Scenario, m_antennas: int, state
     if state.path_angles is None:
         state.path_angles, state.los = draw_paths(state.rng, scenario, shape)
     if state.steering is None:
-        state.rho = doppler_correlation(scenario)
         state.steering = steering_matrix(state.path_angles, m_antennas)
     elif state.steering.shape[-1] != m_antennas:
         raise ContractViolation("a channel state keeps the antenna count of its first draw")
     drawn = normals is not None
     gains = _fade(state.path_gains, normals if drawn
-                  else state.rng.standard_normal((2, 1) + shape), state.rho, state.los)
+                  else state.rng.standard_normal((2, 1) + shape),
+                  doppler_correlation(scenario), state.los)
     positions = topology.ue_positions if drawn else topology.ue_positions[None]
     offsets = topology.bs_positions[:, None, :] - positions[..., None, :, :]
     dists = np.sqrt((offsets * offsets).sum(axis=-1))

@@ -83,6 +83,7 @@ class DownlinkEnv:
         self.codebook = build_codebook(self.m_antennas)
         self.gamma_cutoff_db, self.gamma_max_db = gamma_cutoff_db, gamma_max_db(self.m_antennas)
         self._frames = self.channel_state = None
+        self._t = self.horizon  # advance() refuses until start() opens a block
         self._done = True
 
     # -- action/state ranges ------------------------------------------------
@@ -145,8 +146,9 @@ class DownlinkEnv:
             raise ContractViolation("topology_seeds must list one entry per seed")
         self._frames = self.channel_state = None    # the last block's trace goes first
         normals = np.empty((2, self.horizon + 1, b, 2, 2, self.scenario.n_paths))
-        drops, paths, turns = zip(*map(self._streams, seeds, topology_seeds or [None] * b,
-                                       normals.swapaxes(0, 2)))
+        drops, paths, turns = zip(*map(
+            self._streams, seeds, [None] * b if topology_seeds is None else topology_seeds,
+            normals.swapaxes(0, 2)))
         # np.array of equal-shape arrays stacks them, without np.stack's overhead
         drop = drops[0].moved(np.array([d.ue_positions for d in drops]),
                               np.array([d.ue_headings for d in drops]))

@@ -22,14 +22,13 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import metrics
-from .agents import ALGORITHMS, AgentHyperparams, FpaAgent, make_agent
+from .agents import ALGORITHMS, AgentHyperparams, FpaAgent, ReplayLearner, make_agent
 from .channel import SCENARIO_PRESETS, Scenario, preset
 from .environment import DownlinkEnv, gamma_max_db
 from .errors import CellbeamError, ConfigurationError, reject_nonfinite
 
 ENV_VAR_PREFIX = "CELLBEAM_"
 VALID_ANTENNA_COUNTS = (1, 4, 8, 16, 32, 64)
-_ALGO_IDS = {name: i for i, name in enumerate(ALGORITHMS)}
 
 
 @dataclass
@@ -49,7 +48,7 @@ class EnvSettings:
 class ExperimentPlan:
     """What to sweep and where to put the results."""
 
-    algorithms: tuple[str, ...] = ("fpa", "qlearning", "dqn", "ddpg", "hddpg")
+    algorithms: tuple[str, ...] = ALGORITHMS
     antenna_counts: tuple[int, ...] = (1, 4, 8)
     seeds: tuple[int, ...] = (0, 1, 2)
     episodes: int = 300
@@ -213,7 +212,7 @@ def serialize_config(cfg: RunConfig) -> str:
 # -- seeded sweep ------------------------------------------------------------
 
 def _cell_entropy(algo: str, m: int, seed: int) -> list[int]:
-    return [int(seed), _ALGO_IDS[algo], int(m)]
+    return [int(seed), ALGORITHMS.index(algo), int(m)]
 
 
 def _derive_seed(entropy, spawn_key) -> int:
@@ -232,14 +231,13 @@ def eval_env_seed(m: int, seed: int, episode: int) -> int:
 
 # -- the FPA anchor -----------------------------------------------------------
 #
-# A network learner (DQN, DDPG, h-DDPG) is evaluated with its own greedy
+# A network learner (a ReplayLearner: DQN, DDPG, h-DDPG) is evaluated with its own greedy
 # policy only when a one-sided paired test on held-out episodes shows it
 # beats FPA, in the spirit of Thomas et al. 2015, "High Confidence Policy
 # Improvement"; otherwise the cell evaluates FPA.  Tabular Q-learning needs
 # no check: its unvisited rows already fall back to action 0, the
 # count-based form of the same anchor.
 
-CHECKED_ALGORITHMS = ("dqn", "ddpg", "hddpg")
 # as many held-out episodes as a default evaluation runs; a one-sided
 # 2-standard-error bar lets a policy with no real gain over FPA through
 # about 2% of the time
@@ -314,7 +312,7 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
         train_logs = [agent.run_episode(env, s, train=True, topology_seed=d)
                       for s, d in zip(seeds, drops)]
     validation, evaluator = None, agent
-    if algo in CHECKED_ALGORITHMS:
+    if isinstance(agent, ReplayLearner):
         validation = validate_policy(agent, env, validation_env_seeds(cfg, algo, m_antennas, seed))
         if validation is None or not validation.trusted:
             evaluator = FpaAgent(env)
@@ -342,9 +340,7 @@ def run_cell(cfg: RunConfig, algo: str, m_antennas: int, seed: int, fpa_evals=No
         greedy_policy="fpa" if is_fpa else "learned",
         validation=None if validation is None else asdict(validation),
     )
-    samples = metrics.SinrSampleSet(samples=eff_all, algorithm=algo,
-                                    m_antennas=m_antennas, seed=seed)
-    return agent, train_logs, eval_logs, summary, samples
+    return agent, train_logs, eval_logs, summary, eff_all
 
 
 def run_plan(cfg: RunConfig):
@@ -353,7 +349,7 @@ def run_plan(cfg: RunConfig):
     out_dir = cfg.plan.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    summaries, sample_sets = [], []
+    summaries, sample_sets = [], {}     # sample_sets: (algo, M, seed) -> eval SINRs (dB)
     fpa_evals = {}      # (M, seed) -> evaluation logs of FPA, for this plan only
     max_cap = max(gamma_max_db(m) for m in cfg.plan.antenna_counts)
     grid = np.arange(-1.0, math.ceil(max_cap) + 1.5, 0.5)
@@ -371,7 +367,7 @@ def run_plan(cfg: RunConfig):
                 os.makedirs(ckpt_dir, exist_ok=True)
                 agent.save(ckpt_dir)
                 summaries.append(summary)
-                sample_sets.append(samples)
+                sample_sets[(algo, m, seed)] = samples
 
     metrics.write_plan_tables(out_dir, cfg.plan.out_format, summaries, sample_sets, grid)
     return summaries

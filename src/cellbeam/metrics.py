@@ -18,16 +18,6 @@ from .errors import ContractViolation
 
 
 @dataclass
-class SinrSampleSet:
-    """Effective SINR samples (dB) tagged with their experiment cell."""
-
-    samples: np.ndarray
-    algorithm: str = ""
-    m_antennas: int = 1
-    seed: int = 0
-
-
-@dataclass
 class RunSummary:
     """Headline numbers of one (algorithm, M, seed) experiment cell."""
 
@@ -137,19 +127,18 @@ def _summary_rows(summaries):
 
 
 def _ccdf_rows(sample_sets, threshold_grid):
-    """Long-format CCDF rows for every sample set over one threshold grid."""
-    return ((sset.algorithm, sset.m_antennas, sset.seed, threshold, prob)
-            for sset in sample_sets for threshold, prob in ccdf(sset.samples, threshold_grid))
+    """Long-format CCDF rows for every (algorithm, M, seed) -> samples entry over one grid."""
+    return ((*cell, threshold, prob)
+            for cell, samples in sample_sets.items()
+            for threshold, prob in ccdf(samples, threshold_grid))
 
 
-def _pool_sample_sets(sample_sets) -> list:
-    """Merge per-seed SINR samples into one set per (algorithm, M), tagged seed -1."""
+def _pool_sample_sets(sample_sets) -> dict:
+    """Merge per-seed SINR samples into one set per (algorithm, M), keyed with seed -1."""
     pooled = {}
-    for sset in sample_sets:
-        pooled.setdefault((sset.algorithm, sset.m_antennas), []).append(sset.samples)
-    return [SinrSampleSet(samples=np.concatenate(chunks), algorithm=algo,
-                          m_antennas=m, seed=-1)
-            for (algo, m), chunks in pooled.items()]
+    for (algo, m, _), samples in sample_sets.items():
+        pooled.setdefault((algo, m, -1), []).append(samples)
+    return {cell: np.concatenate(chunks) for cell, chunks in pooled.items()}
 
 
 def _fmt(value) -> str:
@@ -217,5 +206,5 @@ def write_plan_tables(out_dir, out_format: str, summaries, sample_sets,
         return
     for name, columns, rows in (
             ("summary.json", _SUMMARY_COLUMNS, _summary_rows(summaries)),
-            ("ccdf.json", _CCDF_COLUMNS, _ccdf_rows(sample_sets + pooled, threshold_grid))):
+            ("ccdf.json", _CCDF_COLUMNS, _ccdf_rows({**sample_sets, **pooled}, threshold_grid))):
         _write_json(os.path.join(out_dir, name), [dict(zip(columns, row)) for row in rows])

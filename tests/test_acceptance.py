@@ -379,7 +379,7 @@ def test_criterion_10_ccdf_properties():
     # include a real sample set from a short run
     cfg = _desk_config("fpa")
     cfg = replace(cfg, plan=replace(cfg.plan, episodes=3, eval_episodes=5))
-    sample_sets.append(harness.run_cell(cfg, "fpa", 1, 0)[4].samples)
+    sample_sets.append(harness.run_cell(cfg, "fpa", 1, 0)[4])
 
     for samples in sample_sets:
         lo = samples.min() - 1.0

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cellbeam import harness, preset
-from cellbeam.agents import (AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent, HddpgAgent,
-                             QLearningAgent, ReplayBuffer, StateDiscretizer, Transition, fpa_power,
-                             make_agent, qlearning_update)
+from cellbeam.agents import (ActionScaler, AgentHyperparams, DdpgAgent, DqnAgent, FpaAgent,
+                             HddpgAgent, QLearningAgent, ReplayBuffer, StateDiscretizer,
+                             Transition, fpa_power, make_agent, qlearning_update)
 from cellbeam.agents.common import agent_stream, discrete_action_table
 from cellbeam.agents.ddpg import actor_policy_gradient
 from cellbeam.environment import DownlinkEnv
@@ -451,7 +451,8 @@ def test_actor_policy_gradient_matches_finite_difference():
         a = actor.forward(states)
         return float(np.mean(critic.forward(np.concatenate([states, a], axis=1))))
 
-    grads = actor_policy_gradient(critic, actor, states)
+    # no zero-span dimension, so every action dimension passes its gradient
+    grads = actor_policy_gradient(critic, actor, states, ActionScaler(-np.ones(4), np.ones(4)))
     h = 1e-6
     for w, gw in zip(actor.weights, grads.weights):
         for idx in [(0, 0), (0, w.shape[1] - 1), (w.shape[0] - 1, 0)]:

@@ -316,6 +316,17 @@ def test_start_refuses_topology_seeds_of_another_length():
         FpaAgent(env).run_episodes(env, [1, 2, 3], [7, 8])
 
 
+def test_start_takes_array_seeds_like_lists():
+    arrays, lists = make_env(m_antennas=4, horizon=3), make_env(m_antennas=4, horizon=3)
+    got = arrays.start(np.arange(3), np.arange(7, 10))
+    want = lists.start([0, 1, 2], [7, 8, 9])
+    assert np.array_equal(got, want)
+    action = np.full((3, 4), 20.0)
+    assert np.array_equal(arrays.advance(action).next_state, lists.advance(action).next_state)
+    # the seeds alone, without topology seeds
+    assert np.array_equal(arrays.start(np.arange(3)), lists.start([0, 1, 2]))
+
+
 def test_start_refuses_an_empty_seed_list():
     env = make_env()
     with pytest.raises(ContractViolation, match="seeds must list at least one episode"):
@@ -324,6 +335,9 @@ def test_start_refuses_an_empty_seed_list():
 
 def test_advance_past_the_horizon_is_refused():
     env = make_env(horizon=2)
+    # a fresh env has no block open yet
+    with pytest.raises(UsageError, match=r"call start\(\) first"):
+        env.advance(np.full((2, 4), 10.0))
     env.start([4, 5])
     for _ in range(2):
         env.advance(np.full((2, 4), 30.0))

@@ -153,12 +153,12 @@ def test_writers_are_deterministic(tmp_path):
     summary = metrics.RunSummary("ddpg", 4, 0, 3.21, 12.5, 0.8, 0.25,
                                  loss_series=[1.0, float("nan"), 0.5],
                                  convergence_episode=2)
-    sset = metrics.SinrSampleSet(np.array([1.0, 5.0, 9.0]), "ddpg", 4, 0)
+    sample_sets = {("ddpg", 4, 0): np.array([1.0, 5.0, 9.0])}
     for name in ("a", "b"):
         d = tmp_path / name
         d.mkdir()
         metrics.write_summary_csv(d / "summary.csv", [summary])
-        metrics.write_ccdf_csv(d / "ccdf.csv", [sset], np.arange(0.0, 10.0, 2.5))
+        metrics.write_ccdf_csv(d / "ccdf.csv", sample_sets, np.arange(0.0, 10.0, 2.5))
         metrics.write_json_summary(d / "summary.json", summary)
     for fname in ("summary.csv", "ccdf.csv", "summary.json"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
